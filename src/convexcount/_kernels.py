@@ -1,143 +1,130 @@
 """Vectorized numpy kernels for region aggregation and incremental 5-subset
 evaluation.
 
-Exactness: coordinates are bounded by 10**7, so every 3-point determinant
-has magnitude at most 8 * 10**14 and fits int64 with headroom.  Per-chunk
-reductions stay far below int64 range (chunk sizes are capped), and all
-cross-chunk accumulation happens in Python ints, which are unbounded.
+Region counts use exact angular ranks (the counting technique of Rote,
+Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
+IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^3) work;
+``pivot_regions`` then yields all seven region counts of every triangle with
+a given smallest vertex in O(1) per triangle, so a full pass costs O(n^3).
+
+Exactness: coordinates are bounded by 10**7, so every cross product of two
+point differences has magnitude at most 8 * 10**14 and fits int64 with
+headroom.  Region counts are below n, and callers accumulate across pivots
+in Python ints, which are unbounded.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .geometry import CollinearError
 
-# Aggregate field order shared with counting.AggregateSums:
-AGGREGATE_FIELDS = (
-    "sum_beta",
-    "sum_gamma",
-    "sum_beta_sq",
-    "sum_gamma_sq",
-    "sum_beta_gamma",
-    "sum_gamma_pair_binom",
-    "sum_gamma_cross",
-    "sum_beta_pair_binom",
-    "sum_beta_cross",
-    "sum_interior",
-)
 
+def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ranks, left): two (n, n) int64 tables of the angular order around
+    every point.
 
-def iter_triangle_chunks(
-    n: int, chunk_rows: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (i, j, k) index arrays covering all i < j < k triples, in
-    lexicographic order, each chunk at most chunk_rows triples."""
-    for i in range(n - 2):
-        m = n - 1 - i
-        jj, kk = np.triu_indices(m, k=1)
-        jj = (jj + i + 1).astype(np.int64)
-        kk = (kk + i + 1).astype(np.int64)
-        total = jj.shape[0]
-        for start in range(0, total, chunk_rows):
-            stop = min(start + chunk_rows, total)
-            j_part = jj[start:stop]
-            k_part = kk[start:stop]
-            i_part = np.full(j_part.shape[0], i, dtype=np.int64)
-            yield i_part, j_part, k_part
-
-
-def aggregate_chunk(
-    coords: np.ndarray, ti: np.ndarray, tj: np.ndarray, tk: np.ndarray
-) -> Tuple[int, ...]:
-    """Region sums over one chunk of triangles, every point classified
-    against every triangle.
-
-    Returns the tuple matching AGGREGATE_FIELDS as Python ints.  Raises
-    CollinearError when any point falls in no region (a zero determinant,
-    impossible for a validated placement).
+    ranks[v, a] is the counterclockwise rank of a among the n - 1 other
+    points around v: the upper half-plane (dy > 0, or dy == 0 and dx > 0)
+    comes first, and within a half-plane the cross-product sign orders the
+    directions, so no angle is ever computed.  left[v, a] is the number of
+    points strictly left of the directed line v -> a.  Entries [v, v] carry
+    no meaning.  Points collinear with v on one side share a rank;
+    ``pivot_regions`` rejects every collinear triple.
     """
     n = coords.shape[0]
-    x = coords[:, 0]
-    y = coords[:, 1]
+    ranks = np.empty((n, n), dtype=np.int64)
+    left = np.empty((n, n), dtype=np.int64)
+    for v in range(n):
+        d = coords - coords[v]
+        dx = d[:, 0]
+        dy = d[:, 1]
+        # cross[a, b] = d_a x d_b, positive when b is counterclockwise of a
+        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
+        ccw = cross > 0
+        left[v] = ccw.sum(axis=1)
+        # v itself (d = 0) lands in the lower half and has no ccw entries,
+        # so it precedes nothing
+        lower = (dy < 0) | ((dy == 0) & (dx <= 0))
+        same_half = lower[:, None] == lower[None, :]
+        ranks[v] = (same_half & ccw).sum(axis=0) + lower * int((~lower).sum())
+    return ranks, left
 
-    pi = coords[ti]
-    pj = coords[tj]
-    pk = coords[tk]
-    # Canonical orientation: smallest index first (already true for ti),
-    # remaining two counterclockwise.
-    det = (pj[:, 0] - pi[:, 0]) * (pk[:, 1] - pi[:, 1]) - (pj[:, 1] - pi[:, 1]) * (
-        pk[:, 0] - pi[:, 0]
-    )
+
+def pivot_regions(
+    coords: np.ndarray, ranks: np.ndarray, left: np.ndarray, i: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Region counts of every triangle whose smallest vertex is i.
+
+    Returns (v2, v3, interior, beta, gamma): the triangles are the canonical
+    (i, v2, v3), counterclockwise, in lexicographic order of their sorted
+    index triples; beta and gamma have shape (3, rows), with Beta(m) the
+    corner region beyond v_m and Gamma(m) the edge region across the edge
+    opposite v_m.  Around v_m, with next = v_{m+1} and prev = v_{m-1}
+    (cyclic), the wedge W_m = interior + gamma_m holds the points strictly
+    between the directions to next and prev, and the corner region is
+    beta_m = left[v_m, prev] - left[v_m, next] + W_m + 1.  Since
+    interior + sum(beta) + sum(gamma) = n - 3, the interior is
+    (sum(W) + sum(beta) - (n - 3)) / 2 and gamma_m = W_m - interior.
+
+    Raises CollinearError on a zero determinant, an odd interior numerator
+    or a negative count, none of which a valid placement can produce.
+    """
+    n = coords.shape[0]
+    jj, kk = np.triu_indices(n - 1 - i, k=1)
+    v2 = jj + (i + 1)
+    v3 = kk + (i + 1)
+    d = coords - coords[i]
+    det = d[v2, 0] * d[v3, 1] - d[v2, 1] * d[v3, 0]
     if (det == 0).any():
         raise CollinearError("collinear triangle encountered during aggregation")
     swap = det < 0
-    if swap.any():
-        pj, pk = np.where(swap[:, None], pk, pj), np.where(swap[:, None], pj, pk)
+    v2, v3 = np.where(swap, v3, v2), np.where(swap, v2, v3)
 
-    def edge_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # sign of (b - a) x (q - a) for every point q, shape (chunk, n)
-        ex = (b[:, 0] - a[:, 0])[:, None]
-        ey = (b[:, 1] - a[:, 1])[:, None]
-        return ex * (y[None, :] - a[:, 1][:, None]) - ey * (x[None, :] - a[:, 0][:, None])
-
-    s1 = edge_signs(pj, pk)
-    s2 = edge_signs(pk, pi)
-    s3 = edge_signs(pi, pj)
-
-    p1 = s1 > 0
-    p2 = s2 > 0
-    p3 = s3 > 0
-    n1 = s1 < 0
-    n2 = s2 < 0
-    n3 = s3 < 0
-
-    # Triangle vertices produce one positive and two zero signs, so they
-    # fall through every mask below.
-    interior = (p1 & p2 & p3).sum(axis=1, dtype=np.int64)
-    g1 = (n1 & p2 & p3).sum(axis=1, dtype=np.int64)
-    g2 = (p1 & n2 & p3).sum(axis=1, dtype=np.int64)
-    g3 = (p1 & p2 & n3).sum(axis=1, dtype=np.int64)
-    b1 = (p1 & n2 & n3).sum(axis=1, dtype=np.int64)
-    b2 = (n1 & p2 & n3).sum(axis=1, dtype=np.int64)
-    b3 = (n1 & n2 & p3).sum(axis=1, dtype=np.int64)
-
-    beta = b1 + b2 + b3
-    gamma = g1 + g2 + g3
-    if not (interior + beta + gamma == n - 3).all():
+    corners = ((i, v2, v3), (v2, v3, i), (v3, i, v2))
+    wedge = np.stack(
+        [(ranks[v, prev] - ranks[v, nxt] - 1) % (n - 1) for v, nxt, prev in corners]
+    )
+    beta = np.stack([left[v, prev] - left[v, nxt] for v, nxt, prev in corners])
+    beta += wedge + 1
+    twice_interior = wedge.sum(axis=0) + beta.sum(axis=0) - (n - 3)
+    if (twice_interior & 1).any():
         raise CollinearError(
             "region partition lost a point; the placement has a collinear triple"
         )
+    interior = twice_interior >> 1
+    gamma = wedge - interior
+    if (interior < 0).any() or (beta < 0).any() or (gamma < 0).any():
+        raise CollinearError(
+            "negative region count; the placement has a collinear triple"
+        )
+    return v2, v3, interior, beta, gamma
 
-    sum_beta = int(beta.sum())
-    sum_gamma = int(gamma.sum())
-    sum_beta_sq = int((beta * beta).sum())
-    sum_gamma_sq = int((gamma * gamma).sum())
-    sum_beta_gamma = int((beta * gamma).sum())
-    sum_gamma_pair_binom = int(
-        ((g1 * (g1 - 1) + g2 * (g2 - 1) + g3 * (g3 - 1)) // 2).sum()
-    )
-    sum_gamma_cross = int((g1 * g2 + g1 * g3 + g2 * g3).sum())
-    sum_beta_pair_binom = int(
-        ((b1 * (b1 - 1) + b2 * (b2 - 1) + b3 * (b3 - 1)) // 2).sum()
-    )
-    sum_beta_cross = int((b1 * b2 + b1 * b3 + b2 * b3).sum())
-    sum_interior = int(interior.sum())
 
-    return (
-        sum_beta,
-        sum_gamma,
-        sum_beta_sq,
-        sum_gamma_sq,
-        sum_beta_gamma,
-        sum_gamma_pair_binom,
-        sum_gamma_cross,
-        sum_beta_pair_binom,
-        sum_beta_cross,
-        sum_interior,
+def reduce_regions(
+    interior: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> Tuple[int, ...]:
+    """The ten placement-wide sums of counting.AggregateSums, in its field
+    order, over one ``pivot_regions`` chunk, as Python ints."""
+    b1, b2, b3 = beta
+    g1, g2, g3 = gamma
+    beta_t = b1 + b2 + b3
+    gamma_t = g1 + g2 + g3
+    sums = (
+        beta_t.sum(),
+        gamma_t.sum(),
+        (beta_t * beta_t).sum(),
+        (gamma_t * gamma_t).sum(),
+        (beta_t * gamma_t).sum(),
+        (gamma * (gamma - 1) // 2).sum(),
+        (g1 * g2 + g1 * g3 + g2 * g3).sum(),
+        (beta * (beta - 1) // 2).sum(),
+        (b1 * b2 + b1 * b3 + b2 * b3).sum(),
+        interior.sum(),
     )
+    return tuple(int(s) for s in sums)
 
 
 def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -93,20 +92,6 @@ def _bound_type(text: str) -> int:
             f"bound must lie in [3, {COORD_BOUND}], got {value}"
         )
     return value
-
-
-def _resolve_threads(cli_value: Optional[int]) -> Optional[int]:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("GEO_THREADS")
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return None
 
 
 def _frac(f: Fraction) -> dict:
@@ -260,7 +245,7 @@ def _load(path: str) -> Placement:
         return load_placement(fh)
 
 
-def _count_with_engine(placement: Placement, engine: str, threads: Optional[int]):
+def _count_with_engine(placement: Placement, engine: str):
     """Counts plus aggregate sums and phase timings for one engine choice.
 
     auto uses the region engine and, for small n, replays the naive engines
@@ -268,7 +253,7 @@ def _count_with_engine(placement: Placement, engine: str, threads: Optional[int]
     """
     timings = {}
     t0 = time.perf_counter()
-    agg = aggregate_regions(placement, threads=threads)
+    agg = aggregate_regions(placement)
     timings["aggregate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -305,13 +290,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_count(args) -> int:
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
     placement = _load(args.file)
     parse_time = time.perf_counter() - t0
 
     report = _report_skeleton(placement.n, args.engine)
-    t4, t5, agg, timings = _count_with_engine(placement, args.engine, threads)
+    t4, t5, agg, timings = _count_with_engine(placement, args.engine)
     report["counts4"] = _counts4_json(t4)
     report["counts5"] = _counts5_json(t5)
     report["stats"] = _stats_json(stats(agg, t5))
@@ -321,13 +305,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
     placement = _load(args.file)
     parse_time = time.perf_counter() - t0
 
     report = _report_skeleton(placement.n, "regions")
-    t4, t5, agg, timings = _count_with_engine(placement, "regions", threads)
+    t4, t5, agg, timings = _count_with_engine(placement, "regions")
     t0 = time.perf_counter()
     ident = verify_identities(agg, t4, t5)
     timings["verify"] = time.perf_counter() - t0
@@ -342,7 +325,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
     placement = _load(args.file)
     parse_time = time.perf_counter() - t0
@@ -352,7 +334,7 @@ def cmd_bound(args) -> int:
         return EXIT_INVALID
 
     report = _report_skeleton(placement.n, "regions")
-    t4, t5, agg, timings = _count_with_engine(placement, "regions", threads)
+    t4, t5, agg, timings = _count_with_engine(placement, "regions")
     t0 = time.perf_counter()
     br = bound_report(placement, agg=agg, t5=t5)
     timings["bound"] = time.perf_counter() - t0
@@ -393,7 +375,7 @@ def cmd_minimize(args) -> int:
     return EXIT_FAIL if result.consistency == CONSISTENCY_VIOLATION else EXIT_OK
 
 
-def _bench_engine(placement: Placement, engine: str, repeat: int, threads):
+def _bench_engine(placement: Placement, engine: str, repeat: int):
     best = None
     counts = None
     for _ in range(repeat):
@@ -402,7 +384,7 @@ def _bench_engine(placement: Placement, engine: str, repeat: int, threads):
             t4 = count4_naive(placement)
             t5 = count5_naive(placement)
         else:
-            agg = aggregate_regions(placement, threads=threads)
+            agg = aggregate_regions(placement)
             t4 = count4_from_regions(agg)
             t5 = count5_from_regions(agg)
         elapsed = time.perf_counter() - t0
@@ -412,7 +394,6 @@ def _bench_engine(placement: Placement, engine: str, repeat: int, threads):
 
 
 def cmd_bench(args) -> int:
-    threads = _resolve_threads(args.threads)
     sizes = args.n
     engines = args.engines
     print(f"{'n':>5} {'engine':>8} {'seconds':>10} {'quad':>12} {'pentagon':>12}")
@@ -423,7 +404,7 @@ def cmd_bench(args) -> int:
         )
         results = {}
         for engine in engines:
-            elapsed, counts = _bench_engine(placement, engine, args.repeat, threads)
+            elapsed, counts = _bench_engine(placement, engine, args.repeat)
             results[engine] = (elapsed, counts)
             t4, t5 = counts
             print(f"{n:>5} {engine:>8} {elapsed:>10.4f} {t4.quad:>12} {t5.pentagon:>12}")
@@ -480,19 +461,16 @@ def build_parser() -> _Parser:
     p_count.add_argument("file")
     p_count.add_argument("--engine", choices=("naive", "regions", "auto"), default="auto")
     p_count.add_argument("--format", choices=("json", "text"), default="text")
-    p_count.add_argument("--threads", type=_int_at_least(1))
     p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="verify all exact counting identities")
     p_verify.add_argument("file")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.add_argument("--threads", type=_int_at_least(1))
     p_verify.set_defaults(func=cmd_verify)
 
     p_bound = sub.add_parser("bound", help="evaluate the pentagon lower-bound chain")
     p_bound.add_argument("file")
     p_bound.add_argument("--format", choices=("json", "text"), default="text")
-    p_bound.add_argument("--threads", type=_int_at_least(1))
     p_bound.set_defaults(func=cmd_bound)
 
     p_min = sub.add_parser("minimize", help="search for a low-pentagon placement")
@@ -510,7 +488,6 @@ def build_parser() -> _Parser:
                          help="comma list of sizes, e.g. 20,30,40")
     p_bench.add_argument("--engines", type=_engines_list, default=["naive", "regions"])
     p_bench.add_argument("--repeat", type=_int_at_least(1), default=1)
-    p_bench.add_argument("--threads", type=_int_at_least(1))
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

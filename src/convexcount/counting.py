@@ -4,10 +4,11 @@ Two independent routes produce the same numbers:
 
 - the naive engines enumerate every C(n,4) / C(n,5) subset and classify it
   directly (pure Python, exact, the oracle);
-- the region engine classifies every point against every triangle (O(n^4)
-  work, vectorized) and derives all type counts from the aggregated region
-  sums through exact double-counting identities, cross-checking itself four
-  ways before returning.
+- the region engine reads the seven region counts of every triangle off two
+  exact angular-rank tables (O(n^3) work, vectorized per smallest vertex)
+  and derives all type counts from the aggregated region sums through exact
+  double-counting identities, cross-checking itself four ways before
+  returning.
 
 Any disagreement between the routes, any failed divisibility, and any failed
 cross-check raises InconsistentCountsError: the underlying identities are
@@ -16,12 +17,10 @@ theorems, so a mismatch always means a bug or corrupted input.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import _kernels
 from .classification import (
@@ -29,7 +28,6 @@ from .classification import (
     TriangleRef,
     Type4,
     Type5,
-    canonical_triangle,
     classify_region,
     tridot_subsets5,
     type4_of_points,
@@ -170,67 +168,44 @@ def region_counts(placement: Placement, tri: TriangleRef) -> RegionCounts:
 
 
 def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]:
-    """Full per-triangle region table, for diagnostics; capped at n <= 60
-    because it materializes all C(n,3) rows."""
-    if placement.n > 60:
+    """Full per-triangle region table from the region engine's own gather,
+    for diagnostics; capped at n <= 60 because it materializes all C(n,3)
+    rows.  Rows run in lexicographic order of the sorted index triples."""
+    n = placement.n
+    if n > 60:
         raise ValueError("region_table is a diagnostic aid, capped at n <= 60")
+    coords = placement.coords
+    ranks, left = _kernels.rank_tables(coords)
     table = []
-    for i, j, k in combinations(range(placement.n), 3):
-        tri = canonical_triangle(placement, i, j, k)
-        table.append((tri, region_counts(placement, tri)))
+    for i in range(n - 2):
+        v2, v3, interior, beta, gamma = _kernels.pivot_regions(coords, ranks, left, i)
+        for j, k, inner, b, g in zip(
+            v2.tolist(), v3.tolist(), interior.tolist(), beta.T.tolist(), gamma.T.tolist()
+        ):
+            table.append((TriangleRef(i, j, k), RegionCounts(inner, tuple(b), tuple(g))))
     return table
 
 
-def _aggregate_pure(placement: Placement) -> AggregateSums:
-    """Reference aggregation: one region_counts call per triangle, Python
-    ints throughout.  Slow; exists to validate the vectorized path."""
-    n = placement.n
-    acc = [0] * 10
-    for i, j, k in combinations(range(n), 3):
-        tri = canonical_triangle(placement, i, j, k)
-        rc = region_counts(placement, tri)
-        b1, b2, b3 = rc.beta
-        g1, g2, g3 = rc.gamma
-        beta = b1 + b2 + b3
-        gamma = g1 + g2 + g3
-        acc[0] += beta
-        acc[1] += gamma
-        acc[2] += beta * beta
-        acc[3] += gamma * gamma
-        acc[4] += beta * gamma
-        acc[5] += comb(g1, 2) + comb(g2, 2) + comb(g3, 2)
-        acc[6] += g1 * g2 + g1 * g3 + g2 * g3
-        acc[7] += comb(b1, 2) + comb(b2, 2) + comb(b3, 2)
-        acc[8] += b1 * b2 + b1 * b3 + b2 * b3
-        acc[9] += rc.interior
-    return AggregateSums(n, comb(n, 3), *acc)
-
-
-def aggregate_regions(placement: Placement, threads: Optional[int] = None) -> AggregateSums:
+def aggregate_regions(placement: Placement) -> AggregateSums:
     """Aggregate region counts over all C(n,3) canonical triangles.
 
-    Runs on the vectorized kernel in chunks of triangles; with threads > 1
-    the chunks are distributed over a thread pool and merged by field-wise
-    addition, so the result is bit-identical to the sequential run.
+    Builds the angular-rank tables once, then gathers and reduces the
+    triangles of one smallest vertex at a time, so memory stays O(n^2).
+    Each chunk is reduced in int64: a chunk has at most C(n-1,2) triangles
+    and every per-triangle term is at most n^2, so its sums stay below
+    C(n-1,2) * n^2 < 2^63 for every n whose n x n tables fit in memory.
+    Chunks are summed in Python ints.  Raises CollinearError on a placement
+    with a collinear triple.
     """
     n = placement.n
     if n < 3:
         raise ValueError(f"aggregation needs n >= 3, got {n}")
     coords = placement.coords
-    chunk_rows = max(64, 1_500_000 // n)
-    chunks = _kernels.iter_triangle_chunks(n, chunk_rows)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda c: _kernels.aggregate_chunk(coords, *c), chunks)
-            )
-    else:
-        parts = [_kernels.aggregate_chunk(coords, *c) for c in chunks]
+    ranks, left = _kernels.rank_tables(coords)
     acc = [0] * 10
-    for part in parts:
-        for idx, value in enumerate(part):
+    for i in range(n - 2):
+        _, _, interior, beta, gamma = _kernels.pivot_regions(coords, ranks, left, i)
+        for idx, value in enumerate(_kernels.reduce_regions(interior, beta, gamma)):
             acc[idx] += value
     return AggregateSums(n, comb(n, 3), *acc)
 

@@ -199,7 +199,6 @@ def bound_report(
     placement: Placement,
     agg: Optional[AggregateSums] = None,
     t5: Optional[TypeCounts5] = None,
-    threads: Optional[int] = None,
 ) -> BoundReport:
     """Evaluate the pentagon lower-bound chain on one placement.
 
@@ -210,7 +209,7 @@ def bound_report(
     if n < 5:
         raise ValueError(f"the bound chain needs n >= 5, got {n}")
     if agg is None:
-        agg = aggregate_regions(placement, threads=threads)
+        agg = aggregate_regions(placement)
     if t5 is None:
         t5 = count5_from_regions(agg)
     st = stats(agg, t5)

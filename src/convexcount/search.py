@@ -237,7 +237,7 @@ class _Chain:
         self.taken = set(self.points)
         self.coords = np.array(placement.coords, dtype=np.int64)
         self.signs = _kernels.full_sign_tensor(self.coords)
-        self.current = count5_from_regions(aggregate_regions(Placement(tuple(self.points)), threads=1)).pentagon
+        self.current = count5_from_regions(aggregate_regions(Placement(tuple(self.points)))).pentagon
         self.temp = cfg.initial_temp
         self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
         self.accepted = 0
@@ -308,7 +308,7 @@ class _Chain:
 
     def _verify_recount(self) -> None:
         fresh = count5_from_regions(
-            aggregate_regions(Placement(tuple(self.points)), threads=1)
+            aggregate_regions(Placement(tuple(self.points)))
         ).pentagon
         if fresh != self.current:
             raise InconsistentCountsError(
@@ -365,7 +365,7 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
 
     assert best_points is not None
     final = Placement.from_points(best_points)
-    recount = count5_from_regions(aggregate_regions(final, threads=1)).pentagon
+    recount = count5_from_regions(aggregate_regions(final)).pentagon
     if recount != best:
         raise InconsistentCountsError(
             f"final recount {recount} does not match tracked best {best}"

@@ -46,6 +46,7 @@ def test_help_exits_zero(capsys):
         ["bench", "--n", "4,10"],
         ["bench", "--n", "10", "--engines", "bogus"],
         ["minimize", "--n", "4"],
+        ["count", "f.txt", "--threads", "2"],
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -214,25 +215,3 @@ def test_bench_single_engine(capsys):
     assert main(["bench", "--n", "8", "--engines", "naive"]) == 0
     out = capsys.readouterr().out
     assert "naive" in out and "speedup" not in out
-
-
-def test_geo_threads_env(parabola7_file, capsys, monkeypatch):
-    monkeypatch.setenv("GEO_THREADS", "2")
-    assert main(["count", parabola7_file, "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["counts5"]["pentagon"] == "21"
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-def test_geo_threads_malformed_ignored(value, parabola7_file, capsys, monkeypatch):
-    monkeypatch.setenv("GEO_THREADS", value)
-    assert main(["count", parabola7_file]) == 0
-    capsys.readouterr()
-
-
-def test_resolve_threads_priority(monkeypatch):
-    monkeypatch.setenv("GEO_THREADS", "4")
-    assert cli._resolve_threads(2) == 2
-    assert cli._resolve_threads(None) == 4
-    monkeypatch.delenv("GEO_THREADS")
-    assert cli._resolve_threads(None) is None

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from convexcount import (
     AggregateSums,
+    COORD_BOUND,
+    CollinearError,
     InconsistentCountsError,
     Placement,
     RegionCounts,
@@ -22,8 +24,8 @@ from convexcount import (
     delta_count5,
     region_counts,
     region_table,
+    verify_identities,
 )
-from convexcount.counting import _aggregate_pure
 from convexcount.geometry import find_violation
 
 from conftest import parabola, random_disc
@@ -84,8 +86,10 @@ def test_region_counts_partition():
 def test_region_table_matches_region_counts():
     p = random_disc(9, seed=3)
     table = region_table(p)
-    assert len(table) == comb(9, 3)
-    for ref, rc in table[:20]:
+    assert [sorted(ref.indices) for ref, _ in table] == [
+        list(ijk) for ijk in combinations(range(9), 3)
+    ]
+    for ref, rc in table:
         assert ref == canonical_triangle(p, *ref.indices)
         assert rc == region_counts(p, ref)
 
@@ -107,15 +111,19 @@ def test_aggregate_examples(square_center):
 
 
 def test_aggregate_matches_pure_reference():
+    # E1..E14 pin every AggregateSums field to the naive subset counts
     for p in (parabola(8), random_disc(12, seed=1), random_disc(17, seed=2)):
-        assert aggregate_regions(p) == _aggregate_pure(p)
+        report = verify_identities(aggregate_regions(p), count4_naive(p), count5_naive(p))
+        assert report.all_pass
 
 
-def test_aggregate_thread_count_is_immaterial():
-    p = random_disc(15, seed=5)
-    base = aggregate_regions(p, threads=1)
-    assert aggregate_regions(p, threads=3) == base
-    assert aggregate_regions(p, threads=None) == base
+def test_aggregate_rejects_collinear_triple():
+    # the constructor skips the general-position scan
+    p = Placement(((0, 0), (9, 1), (1, 1), (5, 7), (2, 2), (4, -3)))
+    with pytest.raises(CollinearError):
+        aggregate_regions(p)
+    with pytest.raises(CollinearError):
+        region_table(p)
 
 
 def test_engines_agree_on_examples(square_center, triangle_two_inside):
@@ -133,8 +141,13 @@ def test_engines_agree_on_random_placements(n):
     assert count5_from_regions(agg) == count5_naive(p)
 
 
+coord = st.one_of(
+    st.integers(-15, 15),
+    # few distinct values at the coordinate extremes: many equal x or y
+    st.sampled_from((-4, -1, 0, 1, 4)).map(lambda v: v * COORD_BOUND // 4),
+)
 grid_pts = st.lists(
-    st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+    st.tuples(coord, coord),
     min_size=5,
     max_size=8,
     unique=True,
@@ -147,7 +160,7 @@ def test_engines_agree_property(pts):
     if find_violation(pts) is not None:
         return
     p = Placement.from_points(pts)
-    agg = aggregate_regions(p, threads=1)
+    agg = aggregate_regions(p)
     c4 = count4_from_regions(agg)
     c5 = count5_from_regions(agg)
     assert c4 == count4_naive(p)
