@@ -142,13 +142,13 @@ def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:
 
 
 def degenerate_with_pair(coords: np.ndarray, q: Tuple[int, int]) -> bool:
-    """True when q is collinear with (or equal to) some pair of the points."""
+    """True when q is collinear with (or equal to) some pair of the points.
+
+    The sign matrix is antisymmetric with a zero diagonal, so it falls short
+    of m * (m - 1) nonzero entries exactly when an off-diagonal entry is 0.
+    """
     m = coords.shape[0]
-    if m < 2:
-        return False
-    s = pair_sign_matrix(coords, q)
-    iu = np.triu_indices(m, k=1)
-    return bool((s[iu] == 0).any())
+    return bool(np.count_nonzero(pair_sign_matrix(coords, q)) != m * (m - 1))
 
 
 def full_sign_tensor(coords: np.ndarray) -> np.ndarray:

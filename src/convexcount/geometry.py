@@ -116,43 +116,32 @@ def find_violation(points) -> Optional[Violation]:
     """Scan for the first duplicate pair or collinear triple, in index order.
 
     Returns None when the points are in general position.  Duplicates are
-    reported before collinear triples.  The collinear scan covers all
-    C(n, 3) triples; for larger inputs it runs on a vectorized kernel,
-    which is exact because coordinates are bounded.
+    reported before collinear triples.  Every coordinate is checked against
+    ``COORD_BOUND`` first (InvalidPlacementError otherwise), so the single
+    collinear scan, one vectorized pass per anchor point over all C(n, 3)
+    triples, is exact in int64: each product is below 4 * 10**14.
     """
     pts = [(p[0], p[1]) for p in points]
     n = len(pts)
     seen: dict = {}
     for i, p in enumerate(pts):
+        _check_coord(p[0], i)
+        _check_coord(p[1], i)
         if p in seen:
             return Duplicate(seen[p], i)
         seen[p] = i
     if n < 3:
         return None
-    if n <= 60:
-        for i in range(n - 2):
-            ax, ay = pts[i]
-            for j in range(i + 1, n - 1):
-                dx = pts[j][0] - ax
-                dy = pts[j][1] - ay
-                for k in range(j + 1, n):
-                    if dx * (pts[k][1] - ay) - dy * (pts[k][0] - ax) == 0:
-                        return Collinear(i, j, k)
-        return None
-    # Vectorized scan, one anchor point at a time, preserving index order.
     coords = np.asarray(pts, dtype=np.int64)
     x, y = coords[:, 0], coords[:, 1]
     for i in range(n - 2):
         dx = x[i + 1 :] - x[i]
         dy = y[i + 1 :] - y[i]
-        det = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
-        ut = np.triu_indices(n - 1 - i, k=1)
-        zero = det[ut] == 0
+        zero = np.triu(dx[:, None] * dy == dy[:, None] * dx, 1)
         if zero.any():
-            first = int(np.flatnonzero(zero)[0])
-            j = int(ut[0][first]) + i + 1
-            k = int(ut[1][first]) + i + 1
-            return Collinear(i, j, k)
+            # row-major order: smallest j first, then smallest k
+            j, k = np.argwhere(zero)[0]
+            return Collinear(i, int(j) + i + 1, int(k) + i + 1)
     return None
 
 
@@ -214,7 +203,8 @@ class Placement:
 
 def validate_placement(placement) -> Optional[Violation]:
     """Return None when valid, else the first duplicate pair or collinear
-    triple.  Violations are data, not exceptions."""
+    triple.  Violations are data, not exceptions; a coordinate that is not
+    an int within the bound raises InvalidPlacementError."""
     points = placement.points if isinstance(placement, Placement) else placement
     return find_violation(points)
 

@@ -2,11 +2,13 @@
 
 The minimizer moves one point at a time, evaluating each proposal through an
 incremental kernel that touches only the C(n-1,4) five-subsets containing
-the moved point.  Published exact minima act as tripwires: since 16-point
-placements always contain at least 112 pentagons and 18-point placements at
-least 252, any search result below those values proves a counting bug, so
-the result carries a consistency flag and the periodic recounts raise on
-divergence.
+the moved point.  Each chain builds the index columns of those subsets once
+and maps them past the moved point on every proposal, so their memory,
+C(n-1,4) * 4 * 8 bytes, bounds the size: ``MAX_ANNEAL_N``.  Published exact
+minima act as tripwires: since 16-point placements always contain at least
+112 pentagons and 18-point placements at least 252, any search result below
+those values proves a counting bug, so the result carries a consistency flag
+and the periodic recounts raise on divergence.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, exp, pi, sqrt
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +38,10 @@ GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
 
 # Proven minimum pentagon counts; a search result below these is a bug.
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
+
+# Largest annealed size: the 4-subset index columns take 14 MB at n=60,
+# 115 MB at n=100 and 1.9 GB at n=200.
+MAX_ANNEAL_N = 60
 
 CONSISTENCY_OK = "ok"
 CONSISTENCY_VIOLATION = "violation"
@@ -173,6 +179,8 @@ class AnnealConfig:
     position (default bound // 8, at least 2).  Every recount_every accepted
     moves the incrementally tracked count is recomputed from scratch and
     must match exactly.  A target stops the search early once reached.
+    n must lie in [5, MAX_ANNEAL_N]: each chain holds the C(n-1,4) 4-subsets
+    of the fixed points as int64 index columns, which grow as n**4.
     """
 
     n: int
@@ -188,8 +196,10 @@ class AnnealConfig:
     target: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ValueError(f"minimization needs n >= 5, got {self.n}")
+        if not 5 <= self.n <= MAX_ANNEAL_N:
+            raise ValueError(
+                f"minimization needs 5 <= n <= {MAX_ANNEAL_N}, got {self.n}"
+            )
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.restarts < 1:
@@ -226,7 +236,11 @@ class _Chain:
 
     Maintains the full orientation sign tensor of the current points; a
     proposal touches only the pair-sign matrix of the moved point, and an
-    accepted move rewrites three tensor slices.
+    accepted move rewrites three tensor slices.  The 4-subsets of
+    range(n - 1) are built once as index columns; a proposal for point u maps
+    them onto the fixed points by skipping u.  A candidate is rejected when
+    its pair-sign matrix over the fixed points has a zero off the diagonal,
+    which covers both a collinear triple and a repeated point.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -234,29 +248,14 @@ class _Chain:
         self.rng = rng
         self.n = placement.n
         self.points: List[Point] = list(placement.points)
-        self.taken = set(self.points)
         self.coords = np.array(placement.coords, dtype=np.int64)
         self.signs = _kernels.full_sign_tensor(self.coords)
         self.current = count5_from_regions(aggregate_regions(Placement(tuple(self.points)))).pentagon
         self.temp = cfg.initial_temp
         self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
         self.accepted = 0
-        base = np.array(list(combinations(range(self.n - 1), 4)), dtype=np.intp)
-        self._base_combs = base
-        self._quad_cache: Dict[int, Tuple[np.ndarray, ...]] = {}
-
-    def _quad_indices(self, u: int) -> Tuple[np.ndarray, ...]:
-        cached = self._quad_cache.get(u)
-        if cached is not None:
-            return cached
-        others = np.concatenate(
-            [np.arange(0, u, dtype=np.intp), np.arange(u + 1, self.n, dtype=np.intp)]
-        )
-        quads = others[self._base_combs]
-        cols = tuple(np.ascontiguousarray(quads[:, c]) for c in range(4))
-        if self.n <= 26:
-            self._quad_cache[u] = cols
-        return cols
+        quads = np.array(list(combinations(range(self.n - 1), 4)), dtype=np.intp)
+        self._quad_cols = np.ascontiguousarray(quads.T)
 
     def _propose_point(self, u: int) -> Point:
         bound = self.cfg.coord_bound
@@ -274,17 +273,15 @@ class _Chain:
         u = int(self.rng.integers(self.n))
         cand = self._propose_point(u)
         old = self.points[u]
-        if cand == old or cand in self.taken:
+        if cand == old:
             return
         pair_new = _kernels.pair_sign_matrix(self.coords, cand)
-        # degeneracy test over the fixed points only: ignore row/col u
-        probe = pair_new.copy()
-        probe[u, :] = 1
-        probe[:, u] = 1
-        np.fill_diagonal(probe, 1)
-        if (probe == 0).any():
+        pair_new[u, :] = 0
+        pair_new[:, u] = 0
+        # a zero off the diagonal: cand is collinear with, or equal to, fixed points
+        if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
             return
-        qa, qb, qc, qd = self._quad_indices(u)
+        qa, qb, qc, qd = np.delete(np.arange(self.n), u)[self._quad_cols]
         old_pent, new_pent = _kernels.pentagon_pair_delta(
             self.signs, self.signs[:, :, u], pair_new, qa, qb, qc, qd
         )
@@ -292,14 +289,10 @@ class _Chain:
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return
-        pair_new[u, :] = 0
-        pair_new[:, u] = 0
         self.signs[u, :, :] = pair_new
         self.signs[:, u, :] = -pair_new
         self.signs[:, :, u] = pair_new
         self.coords[u] = cand
-        self.taken.discard(old)
-        self.taken.add(cand)
         self.points[u] = cand
         self.current += delta
         self.accepted += 1

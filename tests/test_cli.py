@@ -196,6 +196,11 @@ def test_minimize_deterministic(tmp_path, capsys):
     assert placement.n == 6
 
 
+def test_minimize_above_size_limit_exits_2(capsys):
+    assert main(["minimize", "--n", "61"]) == 2
+    assert "n <= 60" in capsys.readouterr().err
+
+
 def test_minimize_target_stops_early(capsys):
     assert main(["minimize", "--n", "8", "--iters", "20000", "--restarts", "2",
                  "--seed", "1", "--target", "0"]) == 0

@@ -1,5 +1,7 @@
 import io
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,27 +70,39 @@ def test_validate_placement_examples():
     assert v == Duplicate(0, 1)
 
 
-def test_find_violation_vectorized_matches_pure():
-    # plant one collinear triple in an otherwise generic large placement
+def _planted_triple():
+    # one collinear triple in an otherwise generic placement
     pts = [(i, i * i + (i % 7)) for i in range(70)]
     pts[50] = (200, 300)
     pts[60] = (202, 302)
     pts[65] = (204, 304)
-    slow = None
-    for i in range(68):
-        for j in range(i + 1, 69):
-            for k in range(j + 1, 70):
-                a, b, c = pts[i], pts[j], pts[k]
-                if cross(a, b, c) == 0:
-                    slow = Collinear(i, j, k)
-                    break
-            if slow:
-                break
-        if slow:
-            break
+    return pts
+
+
+def _shuffled_grid(n):
+    # many collinear triples; the first in index order is not the one that
+    # closes earliest (smallest last index)
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    order = np.random.default_rng(0).permutation(len(grid))[:n]
+    return [grid[i] for i in order]
+
+
+@pytest.mark.parametrize(
+    "pts, tie_heavy",
+    [(_planted_triple(), False), (_shuffled_grid(12), True), (_shuffled_grid(40), True)],
+    ids=["n70_planted", "n12_grid", "n40_grid"],
+)
+def test_find_violation_vectorized_matches_pure(pts, tie_heavy):
+    triples = [
+        Collinear(i, j, k)
+        for i, j, k in combinations(range(len(pts)), 3)
+        if cross(pts[i], pts[j], pts[k]) == 0
+    ]
     fast = find_violation(pts)
     assert isinstance(fast, Collinear)
-    assert fast == slow
+    assert fast == triples[0]
+    if tie_heavy:
+        assert fast.k > min(t.k for t in triples)
 
 
 def test_placement_construction_errors():
@@ -100,6 +114,12 @@ def test_placement_construction_errors():
         Placement((Point(0, 0), Point(1, 1), Point(0, 0)))
     with pytest.raises(ValidationError):
         Placement.from_points([(0, 0), (1, 1), (2, 2)])
+    # beyond the bound int64 products would wrap and fake a collinear triple
+    wide = [(0, 0), (2**32, 0), (1, 2**32)] + [(i, i * i) for i in range(2, 60)]
+    with pytest.raises(InvalidPlacementError):
+        Placement.from_points(wide)
+    with pytest.raises(InvalidPlacementError):
+        validate_placement(wide)
 
 
 def test_placement_basics():

@@ -10,6 +10,7 @@ from convexcount import (
     GenerationError,
     GeneratorSpec,
     Placement,
+    Point,
     SearchResult,
     count5_naive,
     delta_count5,
@@ -18,7 +19,7 @@ from convexcount import (
 )
 from convexcount import _kernels
 from convexcount.geometry import find_violation
-from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS
+from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
 from conftest import hull_size, random_disc
 
@@ -138,6 +139,7 @@ def test_anneal_config_validation():
         dict(n=8, cooling=1.5),
         dict(n=8, global_move_prob=1.5),
         dict(n=8, coord_bound=2),
+        dict(n=MAX_ANNEAL_N + 1),
     ):
         with pytest.raises(ValueError):
             AnnealConfig(**bad)
@@ -176,12 +178,38 @@ def test_minimize_result_invariants():
     )
 
 
-def test_minimize_with_recount_every_accepted_move():
+@pytest.mark.parametrize("n, iterations", [(7, 150), (30, 40)], ids=["n7", "n30"])
+def test_minimize_with_recount_every_accepted_move(n, iterations):
     cfg = AnnealConfig(
-        n=7, iterations=150, restarts=1, seed=3, coord_bound=200, recount_every=1
+        n=n, iterations=iterations, restarts=1, seed=3, coord_bound=200, recount_every=1
     )
     res = minimize_pentagons(cfg)
     assert count5_naive(res.best_placement).pentagon == res.best_pentagons
+
+
+def test_step_rejects_degenerate_candidates(monkeypatch):
+    cfg = AnnealConfig(n=8, iterations=1, seed=2, coord_bound=1000)
+    chain = _Chain(random_disc(8, seed=6), np.random.default_rng(4), cfg)
+    points = list(chain.points)
+    signs = chain.signs.copy()
+    before = (chain.current, chain.accepted)
+
+    def other(u):
+        return points[(u + 1) % len(points)]
+
+    def collinear(u):
+        a, b = points[(u + 1) % len(points)], points[(u + 2) % len(points)]
+        return Point(2 * b[0] - a[0], 2 * b[1] - a[1])
+
+    def own(u):
+        return points[u]
+
+    for propose in (other, collinear, own):
+        monkeypatch.setattr(chain, "_propose_point", propose)
+        chain.step()
+        assert chain.points == points
+        assert np.array_equal(chain.signs, signs)
+        assert (chain.current, chain.accepted) == before
 
 
 def test_known_minimum_table():
