@@ -7,6 +7,12 @@ IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^3) work;
 ``pivot_regions`` then yields all seven region counts of every triangle with
 a given smallest vertex in O(1) per triangle, so a full pass costs O(n^3).
 
+The annealer's 5-subset kernel tests the C(n-1,4) subsets {a, b, c, d, x}
+through one moving point x.  ``quad_gather_indices`` builds, once per size,
+flat indices of the triples and pairs of every 4-subset of the fixed points;
+``pentagon_pair_delta`` reads their orientation signs with ``take`` and marks
+each subset with no tridot among its five 4-subsets.
+
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
 headroom.  Region counts are below n, and callers accumulate across pivots
@@ -15,6 +21,7 @@ in Python ints, which are unbounded.
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from typing import Tuple
 
 import numpy as np
@@ -166,67 +173,84 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     return np.sign(cross).astype(np.int8)
 
 
-def _tridot_mask(w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    s = w + x + y + z
-    return (s == 2) | (s == -2)
+def quad_gather_indices(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat gather indices over the C(m, 4) 4-subsets a < b < c < d of
+    range(m), in lexicographic order.
+
+    Returns (triples, pairs): the (4, C) intp rows abc, abd, acd, bcd index a
+    raveled (m, m, m) sign tensor, and the (6, C) rows ab, ac, ad, bc, bd, cd
+    a raveled (m, m) pair-sign matrix.  Ten intp rows take 80 * C(m, 4)
+    bytes, about 36 MB at m = 59.  The members of a subset are recovered as
+    divmod(ab, m) and divmod(cd, m).
+    """
+    cols = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp)
+    cols = cols.reshape(-1, 4).T
+
+    def flat(k: int) -> np.ndarray:
+        rows = list(combinations(cols, k))
+        out = np.empty((len(rows), cols.shape[1]), dtype=np.intp)
+        for r, index in enumerate(rows):
+            out[r] = np.ravel_multi_index(index, (m,) * k)
+        return out
+
+    return flat(3), flat(2)
+
+
+def _tridot(sign_sum: np.ndarray) -> np.ndarray:
+    # four points in general position form a tridot exactly when the
+    # orientation signs of their four triangles sum to +-2
+    return np.abs(sign_sum) == 2
+
+
+# the pair rows (ab, ac, ad, bc, bd, cd) that complete each triple row
+# (abc, abd, acd, bcd) to the four triangles of {a, b, c, x} ... {b, c, d, x}
+_PAIR_ROWS = np.array([[0, 0, 1, 3], [1, 2, 2, 4], [3, 4, 5, 5]])
 
 
 def _pentagon_count(
-    s_abc: np.ndarray,
-    s_abd: np.ndarray,
-    s_acd: np.ndarray,
-    s_bcd: np.ndarray,
-    base_tridot: np.ndarray,
+    triples: np.ndarray,
     pairs: np.ndarray,
-    qa: np.ndarray,
-    qb: np.ndarray,
-    qc: np.ndarray,
-    qd: np.ndarray,
-) -> int:
-    v_ab = pairs[qa, qb]
-    v_ac = pairs[qa, qc]
-    v_ad = pairs[qa, qd]
-    v_bc = pairs[qb, qc]
-    v_bd = pairs[qb, qd]
-    v_cd = pairs[qc, qd]
-    t = (
-        base_tridot.astype(np.int8)
-        + _tridot_mask(s_abc, v_ab, v_ac, v_bc)
-        + _tridot_mask(s_abd, v_ab, v_ad, v_bd)
-        + _tridot_mask(s_acd, v_ac, v_ad, v_cd)
-        + _tridot_mask(s_bcd, v_bc, v_bd, v_cd)
-    )
-    return int((t == 0).sum())
+    keep: np.ndarray,
+    pair_index: np.ndarray,
+    fixed_tridot: np.ndarray,
+) -> np.ndarray:
+    """Pentagon mask of the 5-subsets {a, b, c, d, x}, one per 4-subset of the
+    fixed points.
+
+    triples and fixed_tridot come from ``pentagon_pair_delta``; pairs[a, b]
+    is or(p_a, p_b, x) for one position of the moving point x, indexed over
+    all n points and reduced to the fixed points by ``keep``.  A 5-subset is
+    a pentagon exactly when none of its five 4-subsets is a tridot.
+    """
+    v = pairs.take(keep, 0).take(keep, 1).ravel().take(pair_index)
+    w = v.take(_PAIR_ROWS, 0)
+    with_x = triples + w[0] + w[1] + w[2]
+    return ~(_tridot(with_x).any(axis=0) | fixed_tridot)
 
 
 def pentagon_pair_delta(
     signs3: np.ndarray,
-    old_pairs: np.ndarray,
-    new_pairs: np.ndarray,
-    qa: np.ndarray,
-    qb: np.ndarray,
-    qc: np.ndarray,
-    qd: np.ndarray,
-) -> Tuple[int, int]:
-    """Pentagon counts among all 5-subsets {a, b, c, d, x} with the moving
-    point x at its old and at its proposed position.
+    pairs: np.ndarray,
+    keep: np.ndarray,
+    triple_index: np.ndarray,
+    pair_index: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pentagon mask of every 5-subset {a, b, c, d, x} through the moving
+    point x at one position.
 
-    signs3 is the orientation sign tensor of the current points; old_pairs
-    and new_pairs give the signs of or(p_a, p_b, x) for the two positions of
-    x; (qa..qd) rows list the 4-subsets of the fixed points (none equal to
-    the moved index).  A 5-subset is a pentagon exactly when none of its
-    five 4-subsets is a tridot, each tested by its orientation sign sum.
-    Returns (old_pentagons, new_pentagons).
+    signs3 is the (n, n, n) orientation sign tensor of the current points,
+    pairs the (n, n) signs or(p_a, p_b, x) of the position, keep the n - 1
+    fixed indices in order (all but x's), and triple_index, pair_index come
+    from ``quad_gather_indices(n - 1)``.  The signs of the fixed points are
+    gathered once, with flat takes into the tensor reduced to ``keep``.
+    Returns (triples, fixed_tridot, mask): the (4, C) int8 triple signs and
+    the tridot flag of each fixed 4-subset, which ``_pentagon_count`` takes
+    to evaluate another position of x over the same subsets, and the
+    C(n - 1, 4) pentagon mask at this position.  The mask's count minus the
+    pentagons through x at its current position is the move's delta.
     """
-    s_abc = signs3[qa, qb, qc]
-    s_abd = signs3[qa, qb, qd]
-    s_acd = signs3[qa, qc, qd]
-    s_bcd = signs3[qb, qc, qd]
-    base_tridot = _tridot_mask(s_abc, s_abd, s_acd, s_bcd)
-    old_pent = _pentagon_count(
-        s_abc, s_abd, s_acd, s_bcd, base_tridot, old_pairs, qa, qb, qc, qd
-    )
-    new_pent = _pentagon_count(
-        s_abc, s_abd, s_acd, s_bcd, base_tridot, new_pairs, qa, qb, qc, qd
-    )
-    return old_pent, new_pent
+    fixed = signs3.take(keep, 0).take(keep, 1).take(keep, 2)
+    triples = fixed.ravel().take(triple_index)
+    fixed_tridot = _tridot(triples[0] + triples[1] + triples[2] + triples[3])
+    mask = _pentagon_count(triples, pairs, keep, pair_index, fixed_tridot)
+    return triples, fixed_tridot, mask

@@ -35,6 +35,11 @@ from .classification import (
 from .geometry import ConvexCountError, Placement
 
 
+# Largest n whose per-chunk int64 sums are exact: C(n-1, 2) * n**2 < 2**63
+# holds for n <= 65536 and fails at 65537.
+MAX_AGGREGATE_N = 65536
+
+
 class InconsistentCountsError(ConvexCountError):
     """Derived counts violate an identity that holds for every valid
     placement; indicates a bug or corrupted aggregate data."""
@@ -193,13 +198,18 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
     triangles of one smallest vertex at a time, so memory stays O(n^2).
     Each chunk is reduced in int64: a chunk has at most C(n-1,2) triangles
     and every per-triangle term is at most n^2, so its sums stay below
-    C(n-1,2) * n^2 < 2^63 for every n whose n x n tables fit in memory.
+    C(n-1,2) * n^2, which is below 2^63 exactly for n <= MAX_AGGREGATE_N
+    (65536); a larger n raises ValueError before any table is built.
     Chunks are summed in Python ints.  Raises CollinearError on a placement
     with a collinear triple.
     """
     n = placement.n
     if n < 3:
         raise ValueError(f"aggregation needs n >= 3, got {n}")
+    if n > MAX_AGGREGATE_N:
+        raise ValueError(
+            f"aggregation is exact in int64 only for n <= {MAX_AGGREGATE_N}, got {n}"
+        )
     coords = placement.coords
     ranks, left = _kernels.rank_tables(coords)
     acc = [0] * 10

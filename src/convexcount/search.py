@@ -1,20 +1,22 @@
 """Placement generators and a simulated-annealing pentagon minimizer.
 
-The minimizer moves one point at a time, evaluating each proposal through an
-incremental kernel that touches only the C(n-1,4) five-subsets containing
-the moved point.  Each chain builds the index columns of those subsets once
-and maps them past the moved point on every proposal, so their memory,
-C(n-1,4) * 4 * 8 bytes, bounds the size: ``MAX_ANNEAL_N``.  Published exact
-minima act as tripwires: since 16-point placements always contain at least
-112 pentagons and 18-point placements at least 252, any search result below
-those values proves a counting bug, so the result carries a consistency flag
-and the periodic recounts raise on divergence.
+The minimizer moves one point at a time.  A proposal evaluates only the
+C(n-1,4) five-subsets through the moved point at its candidate position:
+one kernel call gathers the orientation signs of every 4-subset of the fixed
+points with precomputed flat indices, and the old position's count is read
+from exact per-point pentagon incidences instead of being recomputed.  Only
+an accepted move evaluates the old position, to update the incidences.  The
+ten intp index rows, 80 * C(n-1,4) bytes per chain, bound the size:
+``MAX_ANNEAL_N``.  Published exact minima act as tripwires: since 16-point
+placements always contain at least 112 pentagons and 18-point placements at
+least 252, any search result below those values proves a counting bug, so
+the result carries a consistency flag and the periodic recounts, which also
+rebuild the incidences, raise on divergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil, exp, pi, sqrt
 from typing import List, Optional, Tuple
 
@@ -39,8 +41,8 @@ GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
 # Proven minimum pentagon counts; a search result below these is a bug.
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 
-# Largest annealed size: the 4-subset index columns take 14 MB at n=60,
-# 115 MB at n=100 and 1.9 GB at n=200.
+# Largest annealed size: the ten flat 4-subset index rows take 36 MB at
+# n=60, 314 MB at n=100 and 5.2 GB at n=200.
 MAX_ANNEAL_N = 60
 
 CONSISTENCY_OK = "ok"
@@ -179,8 +181,10 @@ class AnnealConfig:
     position (default bound // 8, at least 2).  Every recount_every accepted
     moves the incrementally tracked count is recomputed from scratch and
     must match exactly.  A target stops the search early once reached.
-    n must lie in [5, MAX_ANNEAL_N]: each chain holds the C(n-1,4) 4-subsets
-    of the fixed points as int64 index columns, which grow as n**4.
+    n must lie in [5, MAX_ANNEAL_N]: each chain holds ten intp flat gather
+    indices per 4-subset of the fixed points, C(n-1,4) of them, which grow
+    as n**4.  Each proposal costs one kernel evaluation at the candidate
+    position; an accepted move costs a second, at the old position.
     """
 
     n: int
@@ -234,13 +238,19 @@ class SearchResult:
 class _Chain:
     """One annealing chain over a fixed-size placement.
 
-    Maintains the full orientation sign tensor of the current points; a
-    proposal touches only the pair-sign matrix of the moved point, and an
-    accepted move rewrites three tensor slices.  The 4-subsets of
-    range(n - 1) are built once as index columns; a proposal for point u maps
-    them onto the fixed points by skipping u.  A candidate is rejected when
-    its pair-sign matrix over the fixed points has a zero off the diagonal,
-    which covers both a collinear triple and a repeated point.
+    Maintains the full orientation sign tensor of the current points and the
+    exact pentagon incidences: incidences[v] is the number of pentagons
+    through point v, so they sum to 5 * current.  A proposal for point u
+    evaluates only the candidate position, over the 4-subsets of the fixed
+    points (one ``_kernels.pentagon_pair_delta`` call); its delta is the new
+    count minus incidences[u].  Only an accepted move evaluates the old
+    position, scatters the changed 5-subsets into the incidences with
+    ``np.bincount``, and rewrites three tensor slices.  The flat gather
+    indices of the 4-subsets of range(n - 1) are built once per chain; a
+    proposal reduces the tensor to the fixed points with axis takes.  A
+    candidate is rejected when its pair-sign matrix over the fixed points
+    has a zero off the diagonal, which covers both a collinear triple and a
+    repeated point.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -254,8 +264,31 @@ class _Chain:
         self.temp = cfg.initial_temp
         self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
         self.accepted = 0
-        quads = np.array(list(combinations(range(self.n - 1), 4)), dtype=np.intp)
-        self._quad_cols = np.ascontiguousarray(quads.T)
+        self._triples, self._pairs = _kernels.quad_gather_indices(self.n - 1)
+        # row u lists the fixed points of a move of u, in order
+        self._keep = np.array([np.delete(np.arange(self.n), u) for u in range(self.n)])
+        self.incidences = self._count_incidences()
+        if int(self.incidences.sum()) != 5 * self.current:
+            raise InconsistentCountsError(
+                f"pentagon incidences sum to {int(self.incidences.sum())}, "
+                f"not 5 * {self.current}"
+            )
+
+    def _count_incidences(self) -> np.ndarray:
+        incidences = np.empty(self.n, dtype=np.int64)
+        for v in range(self.n):
+            _, _, mask = _kernels.pentagon_pair_delta(
+                self.signs, self.signs[:, :, v], self._keep[v], self._triples, self._pairs
+            )
+            incidences[v] = np.count_nonzero(mask)
+        return incidences
+
+    def _members(self, subsets: np.ndarray) -> np.ndarray:
+        """Fixed-point positions (0..n-2) of the selected 4-subsets, flattened."""
+        m = self.n - 1
+        ab = self._pairs[0][subsets]
+        cd = self._pairs[5][subsets]
+        return np.concatenate(np.divmod(ab, m) + np.divmod(cd, m))
 
     def _propose_point(self, u: int) -> Point:
         bound = self.cfg.coord_bound
@@ -281,14 +314,23 @@ class _Chain:
         # a zero off the diagonal: cand is collinear with, or equal to, fixed points
         if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
             return
-        qa, qb, qc, qd = np.delete(np.arange(self.n), u)[self._quad_cols]
-        old_pent, new_pent = _kernels.pentagon_pair_delta(
-            self.signs, self.signs[:, :, u], pair_new, qa, qb, qc, qd
+        keep = self._keep[u]
+        triples, fixed_tridot, new_mask = _kernels.pentagon_pair_delta(
+            self.signs, pair_new, keep, self._triples, self._pairs
         )
-        delta = new_pent - old_pent
+        new_pent = int(np.count_nonzero(new_mask))
+        delta = new_pent - int(self.incidences[u])
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return
+        old_mask = _kernels._pentagon_count(
+            triples, self.signs[:, :, u], keep, self._pairs, fixed_tridot
+        )
+        m = self.n - 1
+        gained = np.bincount(self._members(new_mask & ~old_mask), minlength=m)
+        lost = np.bincount(self._members(old_mask & ~new_mask), minlength=m)
+        self.incidences[keep] += gained - lost
+        self.incidences[u] = new_pent
         self.signs[u, :, :] = pair_new
         self.signs[:, u, :] = -pair_new
         self.signs[:, :, u] = pair_new
@@ -307,6 +349,12 @@ class _Chain:
             raise InconsistentCountsError(
                 f"incremental pentagon count {self.current} diverged from "
                 f"recount {fresh} after {self.accepted} accepted moves"
+            )
+        incidences = self._count_incidences()
+        if int(incidences.sum()) != 5 * fresh or not np.array_equal(incidences, self.incidences):
+            raise InconsistentCountsError(
+                f"tracked pentagon incidences diverged from a rebuild after "
+                f"{self.accepted} accepted moves"
             )
 
     def cool(self) -> None:

@@ -12,6 +12,7 @@ from convexcount import (
     CollinearError,
     InconsistentCountsError,
     Placement,
+    Point,
     RegionCounts,
     TypeCounts4,
     TypeCounts5,
@@ -26,6 +27,8 @@ from convexcount import (
     region_table,
     verify_identities,
 )
+from convexcount import _kernels
+from convexcount.counting import MAX_AGGREGATE_N
 from convexcount.geometry import find_violation
 
 from conftest import parabola, random_disc
@@ -124,6 +127,20 @@ def test_aggregate_rejects_collinear_triple():
         aggregate_regions(p)
     with pytest.raises(CollinearError):
         region_table(p)
+
+
+def test_aggregate_rejects_n_beyond_int64_bound(monkeypatch):
+    assert comb(MAX_AGGREGATE_N - 1, 2) * MAX_AGGREGATE_N**2 < 2**63
+    assert comb(MAX_AGGREGATE_N, 2) * (MAX_AGGREGATE_N + 1) ** 2 >= 2**63
+
+    def no_tables(coords):
+        raise AssertionError("rank tables built beyond the bound")
+
+    monkeypatch.setattr(_kernels, "rank_tables", no_tables)
+    # the constructor makes only O(n) checks, so nothing else stops this size
+    p = Placement(tuple(Point(i, 0) for i in range(MAX_AGGREGATE_N + 1)))
+    with pytest.raises(ValueError, match="int64"):
+        aggregate_regions(p)
 
 
 def test_engines_agree_on_examples(square_center, triangle_two_inside):

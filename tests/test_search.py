@@ -1,4 +1,6 @@
+import dataclasses
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,15 +11,17 @@ from convexcount import (
     GENERATOR_KINDS,
     GenerationError,
     GeneratorSpec,
+    InconsistentCountsError,
     Placement,
     Point,
     SearchResult,
+    count5_from_regions,
     count5_naive,
     delta_count5,
     generate,
     minimize_pentagons,
 )
-from convexcount import _kernels
+from convexcount import _kernels, search
 from convexcount.geometry import find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
@@ -88,14 +92,13 @@ def test_generator_spec_validation():
         GeneratorSpec("parabola", 8, coord_bound=10_000_001)
 
 
-def _quad_columns(n, u):
-    others = [i for i in range(n) if i != u]
-    quads = np.array(
-        [[others[a], others[b], others[c], others[d]]
-         for a, b, c, d in combinations(range(n - 1), 4)],
-        dtype=np.intp,
-    )
-    return tuple(quads[:, c] for c in range(4))
+def _mask_count(signs, pairs, u):
+    n = signs.shape[0]
+    triples, pairs_idx = _kernels.quad_gather_indices(n - 1)
+    keep = np.delete(np.arange(n), u)
+    _, _, mask = _kernels.pentagon_pair_delta(signs, pairs, keep, triples, pairs_idx)
+    assert mask.shape == (comb(n - 1, 4),)
+    return int(np.count_nonzero(mask))
 
 
 def test_pentagon_pair_delta_matches_naive_delta():
@@ -103,12 +106,7 @@ def test_pentagon_pair_delta_matches_naive_delta():
     coords = np.array(p.coords, dtype=np.int64)
     signs = _kernels.full_sign_tensor(coords)
     for u in range(p.n):
-        qa, qb, qc, qd = _quad_columns(p.n, u)
-        old_pairs = signs[:, :, u]
-        old_pent, same = _kernels.pentagon_pair_delta(
-            signs, old_pairs, old_pairs, qa, qb, qc, qd
-        )
-        assert old_pent == same == delta_count5(p, u).pentagon
+        assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
 
 
 def test_pentagon_pair_delta_after_move():
@@ -120,13 +118,31 @@ def test_pentagon_pair_delta_after_move():
     moved_pts = list(p.points)
     moved_pts[u] = new_pt
     moved = Placement.from_points(moved_pts)
-    qa, qb, qc, qd = _quad_columns(p.n, u)
     new_pairs = _kernels.pair_sign_matrix(coords, new_pt)
-    old_pent, new_pent = _kernels.pentagon_pair_delta(
-        signs, signs[:, :, u], new_pairs, qa, qb, qc, qd
+    # the old position is evaluated over the fixed subsets gathered for the new one
+    triples, pairs_idx = _kernels.quad_gather_indices(p.n - 1)
+    keep = np.delete(np.arange(p.n), u)
+    fixed, tridot, new_mask = _kernels.pentagon_pair_delta(
+        signs, new_pairs, keep, triples, pairs_idx
     )
-    assert old_pent == delta_count5(p, u).pentagon
-    assert new_pent == delta_count5(moved, u).pentagon
+    old_mask = _kernels._pentagon_count(fixed, signs[:, :, u], keep, pairs_idx, tridot)
+    assert int(np.count_nonzero(old_mask)) == delta_count5(p, u).pentagon
+    assert int(np.count_nonzero(new_mask)) == delta_count5(moved, u).pentagon
+
+
+def test_quad_gather_indices_order():
+    m = 7
+    triples, pairs = _kernels.quad_gather_indices(m)
+    quads = list(combinations(range(m), 4))
+    assert triples.dtype == pairs.dtype == np.intp
+    assert triples.shape == (4, len(quads)) and pairs.shape == (6, len(quads))
+    for col, quad in enumerate(quads):
+        assert [np.unravel_index(i, (m, m, m)) for i in triples[:, col]] == list(
+            combinations(quad, 3)
+        )
+        assert [np.unravel_index(i, (m, m)) for i in pairs[:, col]] == list(
+            combinations(quad, 2)
+        )
 
 
 def test_anneal_config_validation():
@@ -185,6 +201,63 @@ def test_minimize_with_recount_every_accepted_move(n, iterations):
     )
     res = minimize_pentagons(cfg)
     assert count5_naive(res.best_placement).pentagon == res.best_pentagons
+
+
+@pytest.mark.parametrize("n", [7, 12, 30], ids=["n7", "n12", "n30"])
+def test_incidences_track_every_accepted_move(n):
+    cfg = AnnealConfig(n=n, iterations=1, seed=5, coord_bound=200, recount_every=1)
+    chain = _Chain(random_disc(n, seed=n, bound=200), np.random.default_rng(n), cfg)
+    checked = 0
+    for _ in range(60 if n == 30 else 300):
+        before = chain.accepted
+        chain.step()
+        chain.cool()
+        if chain.accepted == before:
+            continue
+        checked += 1
+        fresh = _Chain(Placement(tuple(chain.points)), np.random.default_rng(0), cfg)
+        assert np.array_equal(chain.incidences, fresh.incidences)
+        assert fresh.current == chain.current
+        assert int(chain.incidences.sum()) == 5 * chain.current
+        if n <= 12:
+            placement = Placement(tuple(chain.points))
+            for v in range(n):
+                assert chain.incidences[v] == delta_count5(placement, v).pentagon
+    assert checked >= 3
+
+
+def test_chain_rejects_inconsistent_incidences(monkeypatch):
+    cfg = AnnealConfig(n=9, iterations=1, seed=1, coord_bound=200, recount_every=1)
+    start = random_disc(9, seed=2, bound=200)
+    chain = _Chain(start, np.random.default_rng(0), cfg)
+    chain._verify_recount()
+    # same sum, wrong split: only the comparison with a rebuild sees it
+    chain.incidences[0] += 1
+    chain.incidences[1] -= 1
+    with pytest.raises(InconsistentCountsError):
+        chain._verify_recount()
+
+    def off_by_one(agg):
+        counts = count5_from_regions(agg)
+        return dataclasses.replace(counts, pentagon=counts.pentagon + 1)
+
+    monkeypatch.setattr(search, "count5_from_regions", off_by_one)
+    with pytest.raises(InconsistentCountsError):
+        _Chain(start, np.random.default_rng(0), cfg)
+
+
+@pytest.mark.parametrize(
+    "n, iterations, seed, best, trace_len, last",
+    [(18, 600, 11, 599, 51, (0, 556, 599)), (30, 120, 12, 24320, 47, (0, 117, 24320))],
+    ids=["n18", "n30"],
+)
+def test_minimize_matches_pinned_results(n, iterations, seed, best, trace_len, last):
+    # values of the two-evaluation annealer, which every later kernel must keep:
+    # a changed accept/reject decision moves the random stream and the trace
+    res = minimize_pentagons(AnnealConfig(n=n, iterations=iterations, restarts=1, seed=seed))
+    assert res.best_pentagons == best and type(res.best_pentagons) is int
+    assert len(res.trace) == trace_len
+    assert res.trace[-1] == last
 
 
 def test_step_rejects_degenerate_candidates(monkeypatch):
