@@ -9,9 +9,9 @@ a given smallest vertex in O(1) per triangle, so a full pass costs O(n^3).
 
 The annealer's 5-subset kernel tests the C(n-1,4) subsets {a, b, c, d, x}
 through one moving point x.  ``quad_gather_indices`` builds, once per size,
-flat indices of the triples and pairs of every 4-subset of the fixed points;
-``pentagon_pair_delta`` reads their orientation signs with ``take`` and marks
-each subset with no tridot among its five 4-subsets.
+flat indices of the four triples of every 4-subset of the fixed points;
+``pentagon_pair_delta`` folds each triple's tridot test with x into an int8
+code and marks the subsets whose gathered codes show no tridot.
 
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
@@ -173,59 +173,26 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     return np.sign(cross).astype(np.int8)
 
 
-def quad_gather_indices(m: int) -> Tuple[np.ndarray, np.ndarray]:
+def quad_gather_indices(m: int) -> np.ndarray:
     """Flat gather indices over the C(m, 4) 4-subsets a < b < c < d of
     range(m), in lexicographic order.
 
-    Returns (triples, pairs): the (4, C) intp rows abc, abd, acd, bcd index a
-    raveled (m, m, m) sign tensor, and the (6, C) rows ab, ac, ad, bc, bd, cd
-    a raveled (m, m) pair-sign matrix.  Ten intp rows take 80 * C(m, 4)
-    bytes, about 36 MB at m = 59.  The members of a subset are recovered as
-    divmod(ab, m) and divmod(cd, m).
+    Returns the (4, C) intp rows abc, abd, acd, bcd into a raveled (m, m, m)
+    tensor: 32 * C(m, 4) bytes, about 14.6 MB at m = 59.  The members of a
+    subset are recovered from rows abc and bcd as unravel_index(abc) and
+    bcd % m.
     """
     cols = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp)
     cols = cols.reshape(-1, 4).T
-
-    def flat(k: int) -> np.ndarray:
-        rows = list(combinations(cols, k))
-        out = np.empty((len(rows), cols.shape[1]), dtype=np.intp)
-        for r, index in enumerate(rows):
-            out[r] = np.ravel_multi_index(index, (m,) * k)
-        return out
-
-    return flat(3), flat(2)
+    out = np.empty((4, cols.shape[1]), dtype=np.intp)
+    for r, index in enumerate(combinations(cols, 3)):
+        out[r] = np.ravel_multi_index(index, (m, m, m))
+    return out
 
 
-def _tridot(sign_sum: np.ndarray) -> np.ndarray:
-    # four points in general position form a tridot exactly when the
-    # orientation signs of their four triangles sum to +-2
-    return np.abs(sign_sum) == 2
-
-
-# the pair rows (ab, ac, ad, bc, bd, cd) that complete each triple row
-# (abc, abd, acd, bcd) to the four triangles of {a, b, c, x} ... {b, c, d, x}
-_PAIR_ROWS = np.array([[0, 0, 1, 3], [1, 2, 2, 4], [3, 4, 5, 5]])
-
-
-def _pentagon_count(
-    triples: np.ndarray,
-    pairs: np.ndarray,
-    keep: np.ndarray,
-    pair_index: np.ndarray,
-    fixed_tridot: np.ndarray,
-) -> np.ndarray:
-    """Pentagon mask of the 5-subsets {a, b, c, d, x}, one per 4-subset of the
-    fixed points.
-
-    triples and fixed_tridot come from ``pentagon_pair_delta``; pairs[a, b]
-    is or(p_a, p_b, x) for one position of the moving point x, indexed over
-    all n points and reduced to the fixed points by ``keep``.  A 5-subset is
-    a pentagon exactly when none of its five 4-subsets is a tridot.
-    """
-    v = pairs.take(keep, 0).take(keep, 1).ravel().take(pair_index)
-    w = v.take(_PAIR_ROWS, 0)
-    with_x = triples + w[0] + w[1] + w[2]
-    return ~(_tridot(with_x).any(axis=0) | fixed_tridot)
+# one tridot through x adds this to a 4-subset's code sum; above 8, it lifts
+# any fixed sign sum in [-4, 4] clear of -4, 0 and 4
+TRIDOT_WEIGHT = 16
 
 
 def pentagon_pair_delta(
@@ -233,24 +200,35 @@ def pentagon_pair_delta(
     pairs: np.ndarray,
     keep: np.ndarray,
     triple_index: np.ndarray,
-    pair_index: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Pentagon mask of every 5-subset {a, b, c, d, x} through the moving
-    point x at one position.
+    point x at one position, one entry per 4-subset of the fixed points.
 
     signs3 is the (n, n, n) orientation sign tensor of the current points,
     pairs the (n, n) signs or(p_a, p_b, x) of the position, keep the n - 1
-    fixed indices in order (all but x's), and triple_index, pair_index come
-    from ``quad_gather_indices(n - 1)``.  The signs of the fixed points are
-    gathered once, with flat takes into the tensor reduced to ``keep``.
-    Returns (triples, fixed_tridot, mask): the (4, C) int8 triple signs and
-    the tridot flag of each fixed 4-subset, which ``_pentagon_count`` takes
-    to evaluate another position of x over the same subsets, and the
-    C(n - 1, 4) pentagon mask at this position.  The mask's count minus the
-    pentagons through x at its current position is the move's delta.
+    fixed indices in order (all but x's), and triple_index comes from
+    ``quad_gather_indices(n - 1)``.  The mask's count minus the pentagons
+    through x at its current position is the move's delta.
+
+    Four points in general position form a tridot exactly when the
+    orientation signs of their four triangles sum to +-2, and a 5-subset is
+    a pentagon exactly when none of its five 4-subsets is a tridot.  For
+    every fixed triple abc, s = S[abc] + P[ab] + P[ac] + P[bc] is the sign
+    sum of {a, b, c, x}, with S the triple's sign and P = pairs, and its
+    code is S[abc] + TRIDOT_WEIGHT * (|s| == 2).  The codes are built
+    densely over the (n - 1)**3 tensor of the fixed points and gathered once
+    per 4-subset with its four triple rows.  The row sum is the fixed
+    4-subset's sign sum plus TRIDOT_WEIGHT per tridot through x, so the
+    5-subset is a pentagon exactly when it is -4, 0 or 4.
+
+    All of it is int8: s lies in [-4, 4], a code in [-1, 17] and a row sum
+    in [-4, 68].
     """
     fixed = signs3.take(keep, 0).take(keep, 1).take(keep, 2)
-    triples = fixed.ravel().take(triple_index)
-    fixed_tridot = _tridot(triples[0] + triples[1] + triples[2] + triples[3])
-    mask = _pentagon_count(triples, pairs, keep, pair_index, fixed_tridot)
-    return triples, fixed_tridot, mask
+    p = pairs.take(keep, 0).take(keep, 1)
+    s = fixed + p[:, :, None]
+    s += p[:, None, :]
+    s += p
+    code = fixed + TRIDOT_WEIGHT * (np.abs(s) == 2).view(np.int8)
+    total = code.ravel().take(triple_index).sum(axis=0, dtype=np.int8)
+    return (total == 0) | (np.abs(total) == 4)

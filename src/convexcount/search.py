@@ -2,16 +2,17 @@
 
 The minimizer moves one point at a time.  A proposal evaluates only the
 C(n-1,4) five-subsets through the moved point at its candidate position:
-one kernel call gathers the orientation signs of every 4-subset of the fixed
-points with precomputed flat indices, and the old position's count is read
-from exact per-point pentagon incidences instead of being recomputed.  Only
-an accepted move evaluates the old position, to update the incidences.  The
-ten intp index rows, 80 * C(n-1,4) bytes per chain, bound the size:
-``MAX_ANNEAL_N``.  Published exact minima act as tripwires: since 16-point
-placements always contain at least 112 pentagons and 18-point placements at
-least 252, any search result below those values proves a counting bug, so
-the result carries a consistency flag and the periodic recounts, which also
-rebuild the incidences, raise on divergence.
+one kernel call folds the point's tridot tests into int8 triple codes and
+gathers them once per 4-subset of the fixed points with precomputed flat
+indices, and the old position's count is read from exact per-point
+pentagon incidences instead of being recomputed.  Only an accepted move
+evaluates the old position, to update the incidences.  The four intp index
+rows, 32 * C(n-1,4) bytes per chain, bound the size: ``MAX_ANNEAL_N``.
+Published exact minima act as tripwires: since 16-point placements always
+contain at least 112 pentagons and 18-point placements at least 252, any
+search result below those values proves a counting bug, so the result
+carries a consistency flag and the periodic recounts, which also rebuild
+the incidences, raise on divergence.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
 # Proven minimum pentagon counts; a search result below these is a bug.
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 
-# Largest annealed size: the ten flat 4-subset index rows take 36 MB at
-# n=60, 314 MB at n=100 and 5.2 GB at n=200.
+# Largest annealed size: the four flat 4-subset index rows take 14.6 MB at
+# n=60, 120 MB at n=100 and 2.0 GB at n=200.
 MAX_ANNEAL_N = 60
 
 CONSISTENCY_OK = "ok"
@@ -181,7 +182,7 @@ class AnnealConfig:
     position (default bound // 8, at least 2).  Every recount_every accepted
     moves the incrementally tracked count is recomputed from scratch and
     must match exactly.  A target stops the search early once reached.
-    n must lie in [5, MAX_ANNEAL_N]: each chain holds ten intp flat gather
+    n must lie in [5, MAX_ANNEAL_N]: each chain holds four intp flat gather
     indices per 4-subset of the fixed points, C(n-1,4) of them, which grow
     as n**4.  Each proposal costs one kernel evaluation at the candidate
     position; an accepted move costs a second, at the old position.
@@ -245,12 +246,13 @@ class _Chain:
     points (one ``_kernels.pentagon_pair_delta`` call); its delta is the new
     count minus incidences[u].  Only an accepted move evaluates the old
     position, scatters the changed 5-subsets into the incidences with
-    ``np.bincount``, and rewrites three tensor slices.  The flat gather
-    indices of the 4-subsets of range(n - 1) are built once per chain; a
-    proposal reduces the tensor to the fixed points with axis takes.  A
-    candidate is rejected when its pair-sign matrix over the fixed points
-    has a zero off the diagonal, which covers both a collinear triple and a
-    repeated point.
+    ``np.bincount``, and rewrites three tensor slices.  The flat triple
+    indices of the 4-subsets of range(n - 1) are built once per chain; an
+    evaluation reduces the tensor to the fixed points with axis takes, and
+    a subset's members are decoded from its rows abc and bcd.  A candidate
+    is rejected when its pair-sign matrix over the fixed points has a zero
+    off the diagonal, which covers both a collinear triple and a repeated
+    point.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -264,7 +266,7 @@ class _Chain:
         self.temp = cfg.initial_temp
         self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
         self.accepted = 0
-        self._triples, self._pairs = _kernels.quad_gather_indices(self.n - 1)
+        self._triples = _kernels.quad_gather_indices(self.n - 1)
         # row u lists the fixed points of a move of u, in order
         self._keep = np.array([np.delete(np.arange(self.n), u) for u in range(self.n)])
         self.incidences = self._count_incidences()
@@ -277,8 +279,8 @@ class _Chain:
     def _count_incidences(self) -> np.ndarray:
         incidences = np.empty(self.n, dtype=np.int64)
         for v in range(self.n):
-            _, _, mask = _kernels.pentagon_pair_delta(
-                self.signs, self.signs[:, :, v], self._keep[v], self._triples, self._pairs
+            mask = _kernels.pentagon_pair_delta(
+                self.signs, self.signs[:, :, v], self._keep[v], self._triples
             )
             incidences[v] = np.count_nonzero(mask)
         return incidences
@@ -286,9 +288,9 @@ class _Chain:
     def _members(self, subsets: np.ndarray) -> np.ndarray:
         """Fixed-point positions (0..n-2) of the selected 4-subsets, flattened."""
         m = self.n - 1
-        ab = self._pairs[0][subsets]
-        cd = self._pairs[5][subsets]
-        return np.concatenate(np.divmod(ab, m) + np.divmod(cd, m))
+        abc = self._triples[0][subsets]
+        d = self._triples[3][subsets] % m
+        return np.concatenate(np.unravel_index(abc, (m, m, m)) + (d,))
 
     def _propose_point(self, u: int) -> Point:
         bound = self.cfg.coord_bound
@@ -315,16 +317,14 @@ class _Chain:
         if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
             return
         keep = self._keep[u]
-        triples, fixed_tridot, new_mask = _kernels.pentagon_pair_delta(
-            self.signs, pair_new, keep, self._triples, self._pairs
-        )
+        new_mask = _kernels.pentagon_pair_delta(self.signs, pair_new, keep, self._triples)
         new_pent = int(np.count_nonzero(new_mask))
         delta = new_pent - int(self.incidences[u])
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return
-        old_mask = _kernels._pentagon_count(
-            triples, self.signs[:, :, u], keep, self._pairs, fixed_tridot
+        old_mask = _kernels.pentagon_pair_delta(
+            self.signs, self.signs[:, :, u], keep, self._triples
         )
         m = self.n - 1
         gained = np.bincount(self._members(new_mask & ~old_mask), minlength=m)

@@ -3,8 +3,15 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
-from convexcount import GeneratorSpec, Placement, generate
+from convexcount import COORD_BOUND, GeneratorSpec, Placement, generate
+
+coord = st.one_of(
+    st.integers(-15, 15),
+    # few distinct values at the coordinate extremes: many equal x or y
+    st.sampled_from((-4, -1, 0, 1, 4)).map(lambda v: v * COORD_BOUND // 4),
+)
 
 
 def parabola(n: int) -> Placement:

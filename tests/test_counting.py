@@ -31,7 +31,7 @@ from convexcount import _kernels
 from convexcount.counting import MAX_AGGREGATE_N
 from convexcount.geometry import find_violation
 
-from conftest import parabola, random_disc
+from conftest import coord, parabola, random_disc
 
 
 def test_count4_naive_examples(square_center, triangle_two_inside):
@@ -129,6 +129,29 @@ def test_aggregate_rejects_collinear_triple():
         region_table(p)
 
 
+@st.composite
+def collinear_through_pivot(draw):
+    """Points with a pivot between two others on one line, in random order."""
+    # halved coordinates leave room for offsets of up to 10**6 either way
+    px, py = draw(coord) // 2, draw(coord) // 2
+    dx, dy = draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(any))
+    k1, k2 = draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+    line = [(px, py), (px + k1 * dx, py + k1 * dy), (px - k2 * dx, py - k2 * dy)]
+    others = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=5, unique=True))
+    pts = line + [q for q in others if q not in line]
+    return Placement(tuple(draw(st.permutations(pts))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_through_pivot())
+def test_aggregate_rejects_collinear_through_pivot(p):
+    # the constructor skips the general-position scan
+    with pytest.raises(CollinearError):
+        aggregate_regions(p)
+    with pytest.raises(CollinearError):
+        region_table(p)
+
+
 def test_aggregate_rejects_n_beyond_int64_bound(monkeypatch):
     assert comb(MAX_AGGREGATE_N - 1, 2) * MAX_AGGREGATE_N**2 < 2**63
     assert comb(MAX_AGGREGATE_N, 2) * (MAX_AGGREGATE_N + 1) ** 2 >= 2**63
@@ -158,11 +181,6 @@ def test_engines_agree_on_random_placements(n):
     assert count5_from_regions(agg) == count5_naive(p)
 
 
-coord = st.one_of(
-    st.integers(-15, 15),
-    # few distinct values at the coordinate extremes: many equal x or y
-    st.sampled_from((-4, -1, 0, 1, 4)).map(lambda v: v * COORD_BOUND // 4),
-)
 grid_pts = st.lists(
     st.tuples(coord, coord),
     min_size=5,

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convexcount import (
     AnnealConfig,
@@ -25,7 +27,7 @@ from convexcount import _kernels, search
 from convexcount.geometry import find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
-from conftest import hull_size, random_disc
+from conftest import coord, hull_size, random_disc
 
 
 def test_parabola_generator_exact_points():
@@ -94,10 +96,9 @@ def test_generator_spec_validation():
 
 def _mask_count(signs, pairs, u):
     n = signs.shape[0]
-    triples, pairs_idx = _kernels.quad_gather_indices(n - 1)
     keep = np.delete(np.arange(n), u)
-    _, _, mask = _kernels.pentagon_pair_delta(signs, pairs, keep, triples, pairs_idx)
-    assert mask.shape == (comb(n - 1, 4),)
+    mask = _kernels.pentagon_pair_delta(signs, pairs, keep, _kernels.quad_gather_indices(n - 1))
+    assert mask.shape == (comb(n - 1, 4),) and mask.dtype == bool
     return int(np.count_nonzero(mask))
 
 
@@ -118,30 +119,66 @@ def test_pentagon_pair_delta_after_move():
     moved_pts = list(p.points)
     moved_pts[u] = new_pt
     moved = Placement.from_points(moved_pts)
+    # both positions over the tensor of the unmoved points, as an accepted move does
+    assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
     new_pairs = _kernels.pair_sign_matrix(coords, new_pt)
-    # the old position is evaluated over the fixed subsets gathered for the new one
-    triples, pairs_idx = _kernels.quad_gather_indices(p.n - 1)
-    keep = np.delete(np.arange(p.n), u)
-    fixed, tridot, new_mask = _kernels.pentagon_pair_delta(
-        signs, new_pairs, keep, triples, pairs_idx
-    )
-    old_mask = _kernels._pentagon_count(fixed, signs[:, :, u], keep, pairs_idx, tridot)
-    assert int(np.count_nonzero(old_mask)) == delta_count5(p, u).pentagon
-    assert int(np.count_nonzero(new_mask)) == delta_count5(moved, u).pentagon
+    assert _mask_count(signs, new_pairs, u) == delta_count5(moved, u).pentagon
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(coord, coord), min_size=5, max_size=8, unique=True),
+    st.tuples(coord, coord),
+    st.data(),
+)
+def test_pentagon_pair_delta_property(pts, cand, data):
+    assume(find_violation(pts) is None)
+    p = Placement.from_points(pts)
+    u = data.draw(st.integers(0, p.n - 1))
+    coords = np.array(p.coords, dtype=np.int64)
+    signs = _kernels.full_sign_tensor(coords)
+    assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
+    moved_pts = list(pts)
+    moved_pts[u] = cand
+    pairs = _kernels.pair_sign_matrix(coords, cand)
+    pairs[u, :] = 0
+    pairs[:, u] = 0
+    # the annealer's zero-count test: it rejects exactly the invalid moves
+    degenerate = np.count_nonzero(pairs) != (p.n - 1) * (p.n - 2)
+    assert degenerate == (find_violation(moved_pts) is not None)
+    assume(not degenerate)
+    moved = Placement.from_points(moved_pts)
+    assert _mask_count(signs, pairs, u) == delta_count5(moved, u).pentagon
+
+
+def test_pentagon_pair_delta_int8_bounds():
+    info = np.iinfo(np.int8)
+    weight = _kernels.TRIDOT_WEIGHT
+    # s = S + three pair signs; code = S + weight * T; a row sums four codes
+    for low, high in ((-4, 4), (-1, 1 + weight), (-4, 4 * (1 + weight))):
+        assert info.min <= low and high <= info.max
+    # one tridot through x lifts every fixed sign sum in [-4, 4] past 4
+    assert weight - 4 > 4
+
+
+def test_chain_index_bytes():
+    # four intp rows per 4-subset of the n - 1 fixed points
+    per_subset = 4 * np.dtype(np.intp).itemsize
+    for m in (4, 7, 11):
+        assert _kernels.quad_gather_indices(m).nbytes == per_subset * comb(m, 4)
+    # the size limit's stated cost, 14.6 MB on 64-bit builds
+    assert per_subset * comb(MAX_ANNEAL_N - 1, 4) <= 14.6e6
 
 
 def test_quad_gather_indices_order():
     m = 7
-    triples, pairs = _kernels.quad_gather_indices(m)
+    triples = _kernels.quad_gather_indices(m)
     quads = list(combinations(range(m), 4))
-    assert triples.dtype == pairs.dtype == np.intp
-    assert triples.shape == (4, len(quads)) and pairs.shape == (6, len(quads))
+    assert triples.dtype == np.intp
+    assert triples.shape == (4, len(quads))
     for col, quad in enumerate(quads):
         assert [np.unravel_index(i, (m, m, m)) for i in triples[:, col]] == list(
             combinations(quad, 3)
-        )
-        assert [np.unravel_index(i, (m, m)) for i in pairs[:, col]] == list(
-            combinations(quad, 2)
         )
 
 
