@@ -1,5 +1,5 @@
-"""Vectorized numpy kernels for region aggregation and incremental 5-subset
-evaluation.
+"""Vectorized numpy kernels for region aggregation and the annealer's
+incremental pentagon count.
 
 Region counts use exact angular ranks (the counting technique of Rote,
 Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
@@ -7,11 +7,13 @@ IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^3) work;
 ``pivot_regions`` then yields all seven region counts of every triangle with
 a given smallest vertex in O(1) per triangle, so a full pass costs O(n^3).
 
-The annealer's 5-subset kernel tests the C(n-1,4) subsets {a, b, c, d, x}
-through one moving point x.  ``quad_gather_indices`` builds, once per size,
-flat indices of the four triples of every 4-subset of the fixed points;
-``pentagon_pair_delta`` folds each triple's tridot test with x into an int8
-code and marks the subsets whose gathered codes show no tridot.
+The annealer's kernel scores a move of one point x without touching a
+5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
+for the candidate and the current position together, which triples of
+fixed points x completes to a tridot, and turns the counts of those
+triples, of their pairs and of their entries in ``completion_table`` into
+the exact change in the pentagon count, all in O(n^3).
+``pentagons_from_completion`` counts pentagons from the same table.
 
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
@@ -21,12 +23,12 @@ in Python ints, which are unbounded.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from math import comb
 from typing import Tuple
 
 import numpy as np
 
-from .geometry import CollinearError
+from .geometry import CollinearError, InconsistentCountsError
 
 
 def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -162,8 +164,8 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     """(n, n, n) int8 tensor of orientation signs or(p_i, p_j, p_k).
 
     Entries with repeated indices are 0; any other zero means the placement
-    is degenerate.  Memory is n**3 bytes, fine for the search sizes (n well
-    under 100).
+    is degenerate.  Memory is n**3 bytes, 2.2 MB at the largest search size,
+    n = 130.
     """
     x = coords[:, 0]
     y = coords[:, 1]
@@ -173,62 +175,114 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     return np.sign(cross).astype(np.int8)
 
 
-def quad_gather_indices(m: int) -> np.ndarray:
-    """Flat gather indices over the C(m, 4) 4-subsets a < b < c < d of
-    range(m), in lexicographic order.
+def sorted_triples(n: int) -> np.ndarray:
+    """Flat indices into a raveled (n, n, n) tensor of the C(n, 3) triples
+    a < b < c, in lexicographic order: the order of ``pivot_regions`` over
+    pivots 0..n-3 and of ``itertools.combinations(range(n), 3)``."""
+    a, b, c = np.ogrid[:n, :n, :n]
+    return np.flatnonzero((a < b) & (b < c))
 
-    Returns the (4, C) intp rows abc, abd, acd, bcd into a raveled (m, m, m)
-    tensor: 32 * C(m, 4) bytes, about 14.6 MB at m = 59.  The members of a
-    subset are recovered from rows abc and bcd as unravel_index(abc) and
-    bcd % m.
+
+def completion_table(coords: np.ndarray) -> np.ndarray:
+    """(C(n, 3),) int64: for every triple a < b < c in ``sorted_triples``
+    order, the number of other points d that make {a, b, c, d} a tridot.
+
+    d makes a tridot exactly when it lies inside the triangle or in one of
+    its corner regions (then the corner's vertex lies inside the triangle of
+    d and the other two), so the entry is interior + sum(beta) as
+    ``pivot_regions`` reads it.
     """
-    cols = np.fromiter(chain.from_iterable(combinations(range(m), 4)), np.intp)
-    cols = cols.reshape(-1, 4).T
-    out = np.empty((4, cols.shape[1]), dtype=np.intp)
-    for r, index in enumerate(combinations(cols, 3)):
-        out[r] = np.ravel_multi_index(index, (m, m, m))
-    return out
+    ranks, left = rank_tables(coords)
+    parts = []
+    for i in range(coords.shape[0] - 2):
+        _, _, interior, beta, _ = pivot_regions(coords, ranks, left, i)
+        parts.append(interior + beta.sum(axis=0))
+    return np.concatenate(parts)
 
 
-# one tridot through x adds this to a 4-subset's code sum; above 8, it lifts
-# any fixed sign sum in [-4, 4] clear of -4, 0 and 4
-TRIDOT_WEIGHT = 16
+def pentagons_from_completion(table: np.ndarray, n: int) -> int:
+    """The number of convex pentagons among n points, from their
+    ``completion_table``.
+
+    A 5-subset has 0, 2 or 4 tridot 4-subsets (hull of 5, 4 or 3 points),
+    and any two of its 4-subsets share a triple.  With Q the tridot
+    4-subsets, sum(table) = 4 * Q, sum C(table, 2) counts 5-subsets with
+    hull 4 once and with hull 3 six times, and Q * (n - 4) counts them twice
+    and four times, so 32 * pentagons = 32 * C(n, 5) + 4 * sum t(t - 1) -
+    5 * (n - 4) * sum(t).  Raises InconsistentCountsError when the division
+    is not exact, which no valid table allows.
+    """
+    total = int(table.sum())
+    pairs = int((table * (table - 1)).sum())
+    thirty_two = 32 * comb(n, 5) + 4 * pairs - 5 * (n - 4) * total
+    if thirty_two % 32:
+        raise InconsistentCountsError(
+            f"completion table gives {thirty_two}/32 pentagons, not an integer"
+        )
+    return thirty_two // 32
 
 
 def pentagon_pair_delta(
     signs3: np.ndarray,
     pairs: np.ndarray,
-    keep: np.ndarray,
-    triple_index: np.ndarray,
-) -> np.ndarray:
-    """Pentagon mask of every 5-subset {a, b, c, d, x} through the moving
-    point x at one position, one entry per 4-subset of the fixed points.
+    triples: np.ndarray,
+    completion: np.ndarray,
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Change in the pentagon count when the moving point x goes from its
+    current position to a candidate, with the statistics its update needs.
 
     signs3 is the (n, n, n) orientation sign tensor of the current points,
-    pairs the (n, n) signs or(p_a, p_b, x) of the position, keep the n - 1
-    fixed indices in order (all but x's), and triple_index comes from
-    ``quad_gather_indices(n - 1)``.  The mask's count minus the pentagons
-    through x at its current position is the move's delta.
+    pairs the (2, n, n) signs or(p_a, p_b, x) at the candidate (row 0) and
+    at the current position (row 1), 0 wherever a == b or a or b is x's own
+    index u; triples comes from ``sorted_triples(n)`` and completion is the
+    current ``completion_table``.  Returns (delta, tri, te): tri is the
+    (2, C(n, 3)) int8 indicator that a triple of fixed points forms a tridot
+    with x, and te the (2, n, n) int8 number of such triples through each
+    pair.
 
-    Four points in general position form a tridot exactly when the
-    orientation signs of their four triangles sum to +-2, and a 5-subset is
-    a pentagon exactly when none of its five 4-subsets is a tridot.  For
-    every fixed triple abc, s = S[abc] + P[ab] + P[ac] + P[bc] is the sign
-    sum of {a, b, c, x}, with S the triple's sign and P = pairs, and its
-    code is S[abc] + TRIDOT_WEIGHT * (|s| == 2).  The codes are built
-    densely over the (n - 1)**3 tensor of the fixed points and gathered once
-    per 4-subset with its four triple rows.  The row sum is the fixed
-    4-subset's sign sum plus TRIDOT_WEIGHT per tridot through x, so the
-    5-subset is a pentagon exactly when it is -4, 0 or 4.
+    Four points in general position form a tridot exactly when an odd
+    number of the orientation signs of their four triangles is positive,
+    for every order of the points (a transposition flips two of the signs),
+    that is when the product of the four signs is -1.  For every triple abc
+    that product is S[abc] * P[ab] * P[ac] * P[bc], with S = signs3 and
+    P = pairs; it is built densely over (2, n, n, n) in int8, where it lies
+    in {-1, 0, 1} and is 0 on every triple with a repeated index or through
+    u.  The indicator is therefore symmetric in a, b, c, so te is its sum
+    over any one axis; te lies in [0, n - 3], which int8 holds for
+    n <= 130.
 
-    All of it is int8: s lies in [-4, 4], a code in [-1, 17] and a row sum
-    in [-4, 68].
+    With F the fixed points and m = n - 1, a 4-subset D of F has t triples
+    that are tridots with x and f = [D is a tridot], and t + f is 0, 2 or 4,
+    so [D + x is a pentagon] = 1 - 3t/4 + t^2/8 - 5f/8 + ft/4.  Summed over
+    D, the terms of F alone cancel between the two positions:
+    8 * delta = -5(m - 3) dN1 + 2 dN2 + 2 dN3, with N1 the tridot triples,
+    N2 = sum over pairs of C(te, 2), and N3 the sum over tridot triples of
+    the points of F that complete them to a tridot: completion minus the
+    triple's tridot with x's current position.  Raises
+    InconsistentCountsError when 8 * delta is not a multiple of 8, which a
+    correct completion table never gives.
     """
-    fixed = signs3.take(keep, 0).take(keep, 1).take(keep, 2)
-    p = pairs.take(keep, 0).take(keep, 1)
-    s = fixed + p[:, :, None]
-    s += p[:, None, :]
-    s += p
-    code = fixed + TRIDOT_WEIGHT * (np.abs(s) == 2).view(np.int8)
-    total = code.ravel().take(triple_index).sum(axis=0, dtype=np.int8)
-    return (total == 0) | (np.abs(total) == 4)
+    n = signs3.shape[0]
+    product = signs3 * pairs[:, :, :, None]
+    product *= pairs[:, :, None, :]
+    product *= pairs[:, None, :, :]
+    t = (product < 0).view(np.int8)
+    te = t.sum(axis=1, dtype=np.int8)
+    tri = t.reshape(2, -1).take(triples, axis=1)
+    wide = te.reshape(2, -1).astype(np.int64)
+    (y0, y1), (x0, x1) = wide.sum(axis=1).tolist(), np.einsum("ki,ki->k", wide, wide).tolist()
+    c0, c1 = (tri @ completion).tolist()
+    both = int(np.count_nonzero(tri[0] & tri[1]))
+    # N1 = y / 6 and N2 = (x - y) / 4, both exact: te counts each triple
+    # through each of its three pairs, in both orders
+    n1_0, n1_1 = y0 // 6, y1 // 6
+    eight = (
+        -5 * (n - 4) * (n1_0 - n1_1)
+        + ((x0 - y0) - (x1 - y1)) // 2
+        + 2 * (c0 - c1 - both + n1_1)
+    )
+    if eight % 8:
+        raise InconsistentCountsError(
+            f"pentagon delta {eight}/8 is not an integer; the completion table is corrupt"
+        )
+    return eight // 8, tri, te

@@ -32,17 +32,12 @@ from .classification import (
     tridot_subsets5,
     type4_of_points,
 )
-from .geometry import ConvexCountError, Placement
+from .geometry import InconsistentCountsError, Placement
 
 
 # Largest n whose per-chunk int64 sums are exact: C(n-1, 2) * n**2 < 2**63
 # holds for n <= 65536 and fails at 65537.
 MAX_AGGREGATE_N = 65536
-
-
-class InconsistentCountsError(ConvexCountError):
-    """Derived counts violate an identity that holds for every valid
-    placement; indicates a bug or corrupted aggregate data."""
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,11 @@ class ValidationError(ConvexCountError):
         self.violation = violation
 
 
+class InconsistentCountsError(ConvexCountError):
+    """Derived counts violate an identity that holds for every valid
+    placement; indicates a bug or corrupted aggregate data."""
+
+
 class InvalidPlacementError(ConvexCountError):
     """A placement breaks a structural invariant (too few points, coordinate
     out of bounds, non-integer coordinate)."""

@@ -1,18 +1,19 @@
 """Placement generators and a simulated-annealing pentagon minimizer.
 
-The minimizer moves one point at a time.  A proposal evaluates only the
-C(n-1,4) five-subsets through the moved point at its candidate position:
-one kernel call folds the point's tridot tests into int8 triple codes and
-gathers them once per 4-subset of the fixed points with precomputed flat
-indices, and the old position's count is read from exact per-point
-pentagon incidences instead of being recomputed.  Only an accepted move
-evaluates the old position, to update the incidences.  The four intp index
-rows, 32 * C(n-1,4) bytes per chain, bound the size: ``MAX_ANNEAL_N``.
-Published exact minima act as tripwires: since 16-point placements always
-contain at least 112 pentagons and 18-point placements at least 252, any
-search result below those values proves a counting bug, so the result
-carries a consistency flag and the periodic recounts, which also rebuild
-the incidences, raise on divergence.
+The minimizer moves one point at a time.  A proposal costs one O(n^3)
+kernel call that reads, for the moved point at its candidate and at its
+current position together, which triples of fixed points it completes to a
+tridot (a 4-subset with one point inside the triangle of the others).  An
+identity over those triples, their pair counts and a per-chain table of how
+many points complete each triple to a tridot gives the exact change in the
+pentagon count; the kernel checks that its division by 8 is exact.  An
+accepted move updates the table in O(n^3).  A chain holds O(n^3) bytes,
+which bound the size together with the kernel's int8 pair counts:
+``MAX_ANNEAL_N``.  Published exact minima act as tripwires: since 16-point
+placements always contain at least 112 pentagons and 18-point placements at
+least 252, any search result below those values proves a counting bug, so
+the result carries a consistency flag and the periodic recounts, which also
+rebuild the table, raise on divergence.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
 # Proven minimum pentagon counts; a search result below these is a bug.
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 
-# Largest annealed size: the four flat 4-subset index rows take 14.6 MB at
-# n=60, 120 MB at n=100 and 2.0 GB at n=200.
-MAX_ANNEAL_N = 60
+# Largest annealed size, the largest at which the kernel's int8 pair counts
+# (at most n - 3) cannot overflow.  A chain holds n**3 + 16 * C(n, 3) +
+# 2 * n**2 bytes, 8.0 MB at n=130, and an evaluation allocates about 15 MB
+# more; a 110-proposal n=130 run peaks at 76 MB RSS, 29 MB of it the
+# interpreter and numpy.
+MAX_ANNEAL_N = 130
 
 CONSISTENCY_OK = "ok"
 CONSISTENCY_VIOLATION = "violation"
@@ -182,10 +186,11 @@ class AnnealConfig:
     position (default bound // 8, at least 2).  Every recount_every accepted
     moves the incrementally tracked count is recomputed from scratch and
     must match exactly.  A target stops the search early once reached.
-    n must lie in [5, MAX_ANNEAL_N]: each chain holds four intp flat gather
-    indices per 4-subset of the fixed points, C(n-1,4) of them, which grow
-    as n**4.  Each proposal costs one kernel evaluation at the candidate
-    position; an accepted move costs a second, at the old position.
+    n must lie in [5, MAX_ANNEAL_N]: a chain holds the n**3 sign tensor and
+    two C(n,3) int64 arrays (8.0 MB at n=130), and the kernel's int8 pair
+    counts hold up to n=130.  Each proposal costs one O(n^3) kernel call for
+    the candidate and the current position together; an accepted move adds
+    an O(n^3) table update.
     """
 
     n: int
@@ -239,20 +244,16 @@ class SearchResult:
 class _Chain:
     """One annealing chain over a fixed-size placement.
 
-    Maintains the full orientation sign tensor of the current points and the
-    exact pentagon incidences: incidences[v] is the number of pentagons
-    through point v, so they sum to 5 * current.  A proposal for point u
-    evaluates only the candidate position, over the 4-subsets of the fixed
-    points (one ``_kernels.pentagon_pair_delta`` call); its delta is the new
-    count minus incidences[u].  Only an accepted move evaluates the old
-    position, scatters the changed 5-subsets into the incidences with
-    ``np.bincount``, and rewrites three tensor slices.  The flat triple
-    indices of the 4-subsets of range(n - 1) are built once per chain; an
-    evaluation reduces the tensor to the fixed points with axis takes, and
-    a subset's members are decoded from its rows abc and bcd.  A candidate
-    is rejected when its pair-sign matrix over the fixed points has a zero
-    off the diagonal, which covers both a collinear triple and a repeated
-    point.
+    Maintains the full orientation sign tensor of the current points and
+    their completion table: for every sorted triple, the number of other
+    points that complete it to a tridot.  A proposal for point u makes one
+    ``_kernels.pentagon_pair_delta`` call over the candidate and the current
+    position together, which returns the exact delta.  An accepted move adds
+    the change in the triples' tridots with u to the table entries off u,
+    rewrites the C(n-1, 2) entries through u from the candidate's pair
+    counts, and rewrites three tensor slices.  A candidate is rejected when
+    its pair-sign matrix over the fixed points has a zero off the diagonal,
+    which covers both a collinear triple and a repeated point.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -262,35 +263,28 @@ class _Chain:
         self.points: List[Point] = list(placement.points)
         self.coords = np.array(placement.coords, dtype=np.int64)
         self.signs = _kernels.full_sign_tensor(self.coords)
-        self.current = count5_from_regions(aggregate_regions(Placement(tuple(self.points)))).pentagon
         self.temp = cfg.initial_temp
         self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
         self.accepted = 0
-        self._triples = _kernels.quad_gather_indices(self.n - 1)
-        # row u lists the fixed points of a move of u, in order
-        self._keep = np.array([np.delete(np.arange(self.n), u) for u in range(self.n)])
-        self.incidences = self._count_incidences()
-        if int(self.incidences.sum()) != 5 * self.current:
+        self._triples = _kernels.sorted_triples(self.n)
+        # candidate (row 0) and current (row 1) pair signs of the moving point
+        self._pairs = np.empty((2, self.n, self.n), dtype=np.int8)
+        self.current, self.completion = self._recount()
+
+    def _recount(self) -> Tuple[int, np.ndarray]:
+        """A from-scratch pentagon count and completion table, checked
+        against each other."""
+        count = count5_from_regions(
+            aggregate_regions(Placement(tuple(self.points)))
+        ).pentagon
+        table = _kernels.completion_table(self.coords)
+        from_table = _kernels.pentagons_from_completion(table, self.n)
+        if from_table != count:
             raise InconsistentCountsError(
-                f"pentagon incidences sum to {int(self.incidences.sum())}, "
-                f"not 5 * {self.current}"
+                f"completion table gives {from_table} pentagons, the region "
+                f"counts {count}"
             )
-
-    def _count_incidences(self) -> np.ndarray:
-        incidences = np.empty(self.n, dtype=np.int64)
-        for v in range(self.n):
-            mask = _kernels.pentagon_pair_delta(
-                self.signs, self.signs[:, :, v], self._keep[v], self._triples
-            )
-            incidences[v] = np.count_nonzero(mask)
-        return incidences
-
-    def _members(self, subsets: np.ndarray) -> np.ndarray:
-        """Fixed-point positions (0..n-2) of the selected 4-subsets, flattened."""
-        m = self.n - 1
-        abc = self._triples[0][subsets]
-        d = self._triples[3][subsets] % m
-        return np.concatenate(np.unravel_index(abc, (m, m, m)) + (d,))
+        return count, table
 
     def _propose_point(self, u: int) -> Point:
         bound = self.cfg.coord_bound
@@ -310,27 +304,30 @@ class _Chain:
         old = self.points[u]
         if cand == old:
             return
-        pair_new = _kernels.pair_sign_matrix(self.coords, cand)
+        pairs = self._pairs
+        pair_new = pairs[0]
+        pair_new[...] = _kernels.pair_sign_matrix(self.coords, cand)
         pair_new[u, :] = 0
         pair_new[:, u] = 0
         # a zero off the diagonal: cand is collinear with, or equal to, fixed points
         if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
             return
-        keep = self._keep[u]
-        new_mask = _kernels.pentagon_pair_delta(self.signs, pair_new, keep, self._triples)
-        new_pent = int(np.count_nonzero(new_mask))
-        delta = new_pent - int(self.incidences[u])
+        pairs[1] = self.signs[:, :, u]
+        delta, tri, te = _kernels.pentagon_pair_delta(
+            self.signs, pairs, self._triples, self.completion
+        )
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return
-        old_mask = _kernels.pentagon_pair_delta(
-            self.signs, self.signs[:, :, u], keep, self._triples
-        )
-        m = self.n - 1
-        gained = np.bincount(self._members(new_mask & ~old_mask), minlength=m)
-        lost = np.bincount(self._members(old_mask & ~new_mask), minlength=m)
-        self.incidences[keep] += gained - lost
-        self.incidences[u] = new_pent
+        self.completion += tri[0] - tri[1]
+        # the entries through u: the candidate's count of tridot triples per
+        # pair of fixed points (a, b), placed at the rank of sorted (u, a, b)
+        a, b = np.triu_indices(self.n - 1, 1)
+        a += a >= u
+        b += b >= u
+        through = np.sort((np.full_like(a, u), a, b), axis=0)
+        rows = np.searchsorted(self._triples, np.ravel_multi_index(through, self.signs.shape))
+        self.completion[rows] = te[0, a, b]
         self.signs[u, :, :] = pair_new
         self.signs[:, u, :] = -pair_new
         self.signs[:, :, u] = pair_new
@@ -342,18 +339,15 @@ class _Chain:
             self._verify_recount()
 
     def _verify_recount(self) -> None:
-        fresh = count5_from_regions(
-            aggregate_regions(Placement(tuple(self.points)))
-        ).pentagon
+        fresh, table = self._recount()
         if fresh != self.current:
             raise InconsistentCountsError(
                 f"incremental pentagon count {self.current} diverged from "
                 f"recount {fresh} after {self.accepted} accepted moves"
             )
-        incidences = self._count_incidences()
-        if int(incidences.sum()) != 5 * fresh or not np.array_equal(incidences, self.incidences):
+        if not np.array_equal(table, self.completion):
             raise InconsistentCountsError(
-                f"tracked pentagon incidences diverged from a rebuild after "
+                f"tracked completion table diverged from a rebuild after "
                 f"{self.accepted} accepted moves"
             )
 

@@ -5,6 +5,7 @@ import pytest
 from convexcount import TypeCounts5, dumps_placement, load_placement
 from convexcount import cli
 from convexcount.cli import main
+from convexcount.search import MAX_ANNEAL_N
 
 from conftest import parabola
 
@@ -197,8 +198,8 @@ def test_minimize_deterministic(tmp_path, capsys):
 
 
 def test_minimize_above_size_limit_exits_2(capsys):
-    assert main(["minimize", "--n", "61"]) == 2
-    assert "n <= 60" in capsys.readouterr().err
+    assert main(["minimize", "--n", str(MAX_ANNEAL_N + 1)]) == 2
+    assert f"n <= {MAX_ANNEAL_N}" in capsys.readouterr().err
 
 
 def test_minimize_target_stops_early(capsys):

@@ -1,5 +1,5 @@
 import dataclasses
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexcount import (
+    COORD_BOUND,
     AnnealConfig,
     ExhaustedRejectionError,
     GENERATOR_KINDS,
@@ -18,10 +19,14 @@ from convexcount import (
     Point,
     SearchResult,
     count5_from_regions,
+    canonical_triangle,
     count5_naive,
+    cross,
     delta_count5,
     generate,
     minimize_pentagons,
+    orientation,
+    region_counts,
 )
 from convexcount import _kernels, search
 from convexcount.geometry import find_violation
@@ -94,35 +99,58 @@ def test_generator_spec_validation():
         GeneratorSpec("parabola", 8, coord_bound=10_000_001)
 
 
-def _mask_count(signs, pairs, u):
-    n = signs.shape[0]
-    keep = np.delete(np.arange(n), u)
-    mask = _kernels.pentagon_pair_delta(signs, pairs, keep, _kernels.quad_gather_indices(n - 1))
-    assert mask.shape == (comb(n - 1, 4),) and mask.dtype == bool
-    return int(np.count_nonzero(mask))
+def _kernel_inputs(p, u, cand):
+    """(signs3, pairs, triples, completion) of the kernel for moving point u
+    of p to cand, all built fresh."""
+    coords = np.array(p.coords, dtype=np.int64)
+    signs = _kernels.full_sign_tensor(coords)
+    pair_new = _kernels.pair_sign_matrix(coords, cand)
+    pair_new[u, :] = 0
+    pair_new[:, u] = 0
+    pairs = np.stack((pair_new, signs[:, :, u]))
+    return signs, pairs, _kernels.sorted_triples(p.n), _kernels.completion_table(coords)
+
+
+def _kernel_delta(p, u, cand):
+    delta, tri, te = _kernels.pentagon_pair_delta(*_kernel_inputs(p, u, cand))
+    assert type(delta) is int
+    assert tri.shape == (2, comb(p.n, 3)) and tri.dtype == np.int8
+    assert te.shape == (2, p.n, p.n)
+    return delta
+
+
+def _moved(p, u, cand):
+    pts = list(p.points)
+    pts[u] = cand
+    return Placement.from_points(pts)
+
+
+def _naive_delta(p, u, cand):
+    return delta_count5(_moved(p, u, cand), u).pentagon - delta_count5(p, u).pentagon
 
 
 def test_pentagon_pair_delta_matches_naive_delta():
     p = random_disc(10, seed=3)
-    coords = np.array(p.coords, dtype=np.int64)
-    signs = _kernels.full_sign_tensor(coords)
+    targets = random_disc(10, seed=4).points
+    checked = 0
     for u in range(p.n):
-        assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
+        cand = targets[u]
+        if find_violation(p.points[:u] + (cand,) + p.points[u + 1:]) is not None:
+            continue
+        assert _kernel_delta(p, u, cand) == _naive_delta(p, u, cand)
+        checked += 1
+    assert checked >= 8
 
 
 def test_pentagon_pair_delta_after_move():
     p = random_disc(9, seed=8, bound=100)
-    coords = np.array(p.coords, dtype=np.int64)
-    signs = _kernels.full_sign_tensor(coords)
     u = 4
     new_pt = (37, -61)
-    moved_pts = list(p.points)
-    moved_pts[u] = new_pt
-    moved = Placement.from_points(moved_pts)
-    # both positions over the tensor of the unmoved points, as an accepted move does
-    assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
-    new_pairs = _kernels.pair_sign_matrix(coords, new_pt)
-    assert _mask_count(signs, new_pairs, u) == delta_count5(moved, u).pentagon
+    moved = _moved(p, u, new_pt)
+    assert _kernel_delta(p, u, new_pt) == _naive_delta(p, u, new_pt)
+    # and back: the moved placement's own table and tensor give the opposite
+    back = _kernel_delta(moved, u, p.points[u])
+    assert back == _naive_delta(moved, u, p.points[u]) == -_naive_delta(p, u, new_pt)
 
 
 @settings(max_examples=80, deadline=None)
@@ -136,8 +164,6 @@ def test_pentagon_pair_delta_property(pts, cand, data):
     p = Placement.from_points(pts)
     u = data.draw(st.integers(0, p.n - 1))
     coords = np.array(p.coords, dtype=np.int64)
-    signs = _kernels.full_sign_tensor(coords)
-    assert _mask_count(signs, signs[:, :, u], u) == delta_count5(p, u).pentagon
     moved_pts = list(pts)
     moved_pts[u] = cand
     pairs = _kernels.pair_sign_matrix(coords, cand)
@@ -147,39 +173,81 @@ def test_pentagon_pair_delta_property(pts, cand, data):
     degenerate = np.count_nonzero(pairs) != (p.n - 1) * (p.n - 2)
     assert degenerate == (find_violation(moved_pts) is not None)
     assume(not degenerate)
-    moved = Placement.from_points(moved_pts)
-    assert _mask_count(signs, pairs, u) == delta_count5(moved, u).pentagon
+    assert _kernel_delta(p, u, cand) == _naive_delta(p, u, cand)
+
+
+def test_pentagon_pair_delta_rejects_corrupt_completion():
+    p = random_disc(9, seed=8, bound=100)
+    signs, pairs, triples, completion = _kernel_inputs(p, 4, (37, -61))
+    _, tri, _ = _kernels.pentagon_pair_delta(signs, pairs, triples, completion)
+    # one entry off by one, on a triple whose tridot with the moving point
+    # changes, moves 8 * delta by 2
+    changed = np.flatnonzero(tri[0] != tri[1])
+    assert changed.size
+    completion[changed[0]] += 1
+    with pytest.raises(InconsistentCountsError):
+        _kernels.pentagon_pair_delta(signs, pairs, triples, completion)
 
 
 def test_pentagon_pair_delta_int8_bounds():
-    info = np.iinfo(np.int8)
-    weight = _kernels.TRIDOT_WEIGHT
-    # s = S + three pair signs; code = S + weight * T; a row sums four codes
-    for low, high in ((-4, 4), (-1, 1 + weight), (-4, 4 * (1 + weight))):
-        assert info.min <= low and high <= info.max
-    # one tridot through x lifts every fixed sign sum in [-4, 4] past 4
-    assert weight - 4 > 4
+    # every product of four signs (a 0 stands for a repeated index or the
+    # moving point's own) stays in int8 and is -1, the tridot test, only
+    # when no factor is 0
+    signs = np.array([-1, 0, 1], dtype=np.int8)
+    factors = np.stack(np.meshgrid(signs, signs, signs, signs)).reshape(4, -1)
+    prod = factors[0] * factors[1] * factors[2] * factors[3]
+    assert prod.dtype == np.int8
+    assert set(prod.tolist()) == {-1, 0, 1}
+    assert not prod[(factors == 0).any(axis=0)].any()
+    # te counts at most n - 3 triples per pair, in the kernel's own dtype
+    _, _, te = _kernels.pentagon_pair_delta(*_kernel_inputs(random_disc(8, seed=1), 0, (3, 5)))
+    assert te.max() <= 8 - 3
+    assert MAX_ANNEAL_N - 3 <= np.iinfo(te.dtype).max
+
+
+def _chain_bytes(n):
+    # sign tensor, sorted-triple indices and completion table, pair buffer
+    return n**3 + 2 * 8 * comb(n, 3) + 2 * n * n
 
 
 def test_chain_index_bytes():
-    # four intp rows per 4-subset of the n - 1 fixed points
-    per_subset = 4 * np.dtype(np.intp).itemsize
-    for m in (4, 7, 11):
-        assert _kernels.quad_gather_indices(m).nbytes == per_subset * comb(m, 4)
-    # the size limit's stated cost, 14.6 MB on 64-bit builds
-    assert per_subset * comb(MAX_ANNEAL_N - 1, 4) <= 14.6e6
+    cfg = AnnealConfig(n=5, iterations=1, coord_bound=200)
+    for n in (5, 9, 14):
+        chain = _Chain(random_disc(n, seed=n, bound=200), np.random.default_rng(0), cfg)
+        held = (chain.signs, chain._triples, chain.completion, chain._pairs)
+        assert sum(a.nbytes for a in held) == _chain_bytes(n)
+    # the size limit's stated cost, 8.0 MB
+    assert _chain_bytes(MAX_ANNEAL_N) <= 8.0e6
 
 
-def test_quad_gather_indices_order():
-    m = 7
-    triples = _kernels.quad_gather_indices(m)
-    quads = list(combinations(range(m), 4))
-    assert triples.dtype == np.intp
-    assert triples.shape == (4, len(quads))
-    for col, quad in enumerate(quads):
-        assert [np.unravel_index(i, (m, m, m)) for i in triples[:, col]] == list(
-            combinations(quad, 3)
-        )
+def test_sorted_triples_order():
+    n = 7
+    flat = _kernels.sorted_triples(n)
+    assert flat.dtype == np.intp
+    assert [np.unravel_index(i, (n, n, n)) for i in flat] == list(combinations(range(n), 3))
+
+
+def test_sign_kernels_exact_at_coordinate_bound():
+    b = COORD_BOUND
+    pts = [(-b, -b), (b, -b), (b, b), (-b, b), (b - 1, b), (-b, b - 1), (0, -b), (1, b)]
+    coords = np.array(pts, dtype=np.int64)
+
+    def sign(p, q, r):
+        # the Python-int orientation, 0 for a repeated or collinear triple
+        return orientation(p, q, r) if cross(p, q, r) else 0
+
+    signs = _kernels.full_sign_tensor(coords)
+    for i, j, k in product(range(len(pts)), repeat=3):
+        assert signs[i, j, k] == sign(pts[i], pts[j], pts[k])
+    for q in pts + [(0, 0), (b, 0), (-b, 1)]:
+        pairs = _kernels.pair_sign_matrix(coords, q)
+        for i, j in product(range(len(pts)), repeat=2):
+            assert pairs[i, j] == sign(pts[i], pts[j], q)
+    # the corner triangles reach the largest cross product, (2 * bound)**2;
+    # each of its two int64 products is at most that, so their difference
+    # stays below 8 * 10**14 < 2**63
+    assert max(abs(cross(p, q, r)) for p, q, r in product(pts, repeat=3)) == (2 * b) ** 2
+    assert 2 * (2 * b) ** 2 == 8 * 10**14 < 2**63
 
 
 def test_anneal_config_validation():
@@ -241,7 +309,7 @@ def test_minimize_with_recount_every_accepted_move(n, iterations):
 
 
 @pytest.mark.parametrize("n", [7, 12, 30], ids=["n7", "n12", "n30"])
-def test_incidences_track_every_accepted_move(n):
+def test_completion_table_tracks_every_accepted_move(n):
     cfg = AnnealConfig(n=n, iterations=1, seed=5, coord_bound=200, recount_every=1)
     chain = _Chain(random_disc(n, seed=n, bound=200), np.random.default_rng(n), cfg)
     checked = 0
@@ -252,14 +320,15 @@ def test_incidences_track_every_accepted_move(n):
         if chain.accepted == before:
             continue
         checked += 1
-        fresh = _Chain(Placement(tuple(chain.points)), np.random.default_rng(0), cfg)
-        assert np.array_equal(chain.incidences, fresh.incidences)
+        placement = Placement(tuple(chain.points))
+        fresh = _Chain(placement, np.random.default_rng(0), cfg)
+        assert np.array_equal(chain.completion, fresh.completion)
         assert fresh.current == chain.current
-        assert int(chain.incidences.sum()) == 5 * chain.current
         if n <= 12:
-            placement = Placement(tuple(chain.points))
-            for v in range(n):
-                assert chain.incidences[v] == delta_count5(placement, v).pentagon
+            # the pure-Python oracle: inside the triangle or beyond a corner
+            for entry, (i, j, k) in zip(chain.completion, combinations(range(n), 3)):
+                counts = region_counts(placement, canonical_triangle(placement, i, j, k))
+                assert entry == counts.interior + counts.beta_total
     assert checked >= 3
 
 
@@ -268,9 +337,9 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
     start = random_disc(9, seed=2, bound=200)
     chain = _Chain(start, np.random.default_rng(0), cfg)
     chain._verify_recount()
-    # same sum, wrong split: only the comparison with a rebuild sees it
-    chain.incidences[0] += 1
-    chain.incidences[1] -= 1
+    # two completion entries off in opposite directions: the table's sum holds
+    chain.completion[0] += 1
+    chain.completion[1] -= 1
     with pytest.raises(InconsistentCountsError):
         chain._verify_recount()
 
