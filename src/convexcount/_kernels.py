@@ -3,9 +3,12 @@ incremental pentagon count.
 
 Region counts use exact angular ranks (the counting technique of Rote,
 Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
-IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^3) work;
-``pivot_regions`` then yields all seven region counts of every triangle with
-a given smallest vertex in O(1) per triangle, so a full pass costs O(n^3).
+IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^2 log n)
+work by sorting the directions around each point once, by the exact key of
+``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
+and each key is rounded by at most 2**-54.  ``pivot_regions`` then yields
+all seven region counts of every triangle with a given smallest vertex in
+O(1) per triangle, so a full pass costs O(n^3).
 
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
@@ -28,37 +31,55 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import CollinearError, InconsistentCountsError
+from .geometry import CollinearError, InconsistentCountsError, direction_keys, row_blocks
 
 
 def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(ranks, left): two (n, n) int64 tables of the angular order around
-    every point.
+    every point, in O(n^2 log n) work.
 
     ranks[v, a] is the counterclockwise rank of a among the n - 1 other
-    points around v: the upper half-plane (dy > 0, or dy == 0 and dx > 0)
-    comes first, and within a half-plane the cross-product sign orders the
-    directions, so no angle is ever computed.  left[v, a] is the number of
-    points strictly left of the directed line v -> a.  Entries [v, v] carry
-    no meaning.  Points collinear with v on one side share a rank;
-    ``pivot_regions`` rejects every collinear triple.
+    points around v: the number of points whose direction from v comes
+    strictly before a's, starting from the direction (1, 0) and taking the
+    upper half-plane (dy > 0, or dy == 0 and dx > 0) first.  left[v, a] is
+    the number of points strictly left of the directed line v -> a.  Entries
+    [v, v] carry no meaning.  Points collinear with v on one side share a
+    rank; ``pivot_regions`` rejects every collinear triple.
+
+    Each row sorts its directions once by the exact key of
+    ``geometry.direction_keys``, which ignores the half, so a line through v
+    forms one run of equal keys.  With the cumulative counts of the upper
+    and the lower half along the sorted row, a's rank is the points of its
+    own half before its run, plus the whole upper half when a is lower, and
+    left[v, a] is the points of its own half after its run plus those of the
+    other half before it.  The key is exact under the coordinate bound:
+    distinct keys differ by at least 6 * 10**-16 and each is rounded by at
+    most 2**-54 (see ``direction_keys``).  Rows go in blocks of about
+    KEY_BLOCK elements, so the temporaries stay O(KEY_BLOCK) beside the two
+    tables.
     """
     n = coords.shape[0]
     ranks = np.empty((n, n), dtype=np.int64)
     left = np.empty((n, n), dtype=np.int64)
-    for v in range(n):
-        d = coords - coords[v]
-        dx = d[:, 0]
-        dy = d[:, 1]
-        # cross[a, b] = d_a x d_b, positive when b is counterclockwise of a
-        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
-        ccw = cross > 0
-        left[v] = ccw.sum(axis=1)
-        # v itself (d = 0) lands in the lower half and has no ccw entries,
-        # so it precedes nothing
-        lower = (dy < 0) | ((dy == 0) & (dx <= 0))
-        same_half = lower[:, None] == lower[None, :]
-        ranks[v] = (same_half & ccw).sum(axis=0) + lower * int((~lower).sum())
+    for rows in row_blocks(n):
+        order, lower, tie = direction_keys(coords, rows)
+        # (upper, lower) counts; the last column is v itself and counts in neither
+        halves = np.stack((~lower, lower))
+        halves[:, :, -1] = False
+        through = halves.cumsum(axis=2)
+        before = through - halves
+        total = through[:, :, -1:]
+        if tie.any():
+            # a run of equal keys (points on one line through v) takes the
+            # counts before its first element and through its last: the
+            # counts never fall along a row
+            before = np.maximum.accumulate(np.where(tie, 0, before), axis=2)
+            end = np.roll(~tie, -1, axis=1)
+            through = np.minimum.accumulate(np.where(end, through, n)[..., ::-1], axis=2)[..., ::-1]
+        rank = np.where(lower, total[0] + before[1], before[0])
+        beyond = np.where(lower, total[1] - through[1] + before[0], total[0] - through[0] + before[1])
+        np.put_along_axis(ranks[rows], order, rank, axis=1)
+        np.put_along_axis(left[rows], order, beyond, axis=1)
     return ranks, left
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, NamedTuple, Optional, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -117,14 +117,79 @@ def _check_coord(v, index: int) -> int:
     return v
 
 
+# Elements of one row block of direction keys.  The key, sort and count
+# temporaries of ``_kernels.rank_tables`` take about 140 bytes an element, so
+# they stay near 9 MB whatever n is.
+KEY_BLOCK = 1 << 16
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of range(n), each of at most max(1, KEY_BLOCK // n)
+    rows, so an (rows, n) block holds about KEY_BLOCK elements."""
+    step = max(1, KEY_BLOCK // n)
+    for start in range(0, n, step):
+        yield slice(start, min(n, start + step))
+
+
+def direction_keys(
+    coords: np.ndarray, rows: slice
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The directions from each point of ``rows`` to every point, sorted
+    around it by one exact key.
+
+    Returns (order, lower, tie), each of shape (rows, n) and in sorted
+    order: order holds the point indices; lower marks a direction in the
+    lower half-plane (dy < 0, or dy == 0 and dx < 0); tie marks a key equal
+    to its predecessor's.  The lower half is rotated by pi, and a direction
+    (dx, dy) of the upper half is keyed by (quadrant, ratio): quadrant 0
+    with ratio dy / (dx + dy) when dx > 0, quadrant 1 with ratio
+    -dx / (dy - dx) otherwise.  The key grows with the angle, so two
+    directions tie exactly when they lie on one line through the row's
+    point.  The row's point itself (direction 0) gets quadrant 2 and sorts
+    last; the points must be distinct.
+
+    Exactness: with |coordinates| <= COORD_BOUND, numerators and
+    denominators are integers of at most 4 * 10**7, exact in float64.  Two
+    distinct ratios then differ by at least 1 / (1.6 * 10**15), above
+    6 * 10**-16, while a correctly rounded quotient in [0, 1) errs by at
+    most 2**-54, below 5.6 * 10**-17.  So float order is exact order and
+    equal ratios give equal doubles.  Quadrant and ratio stay two sort keys:
+    in one float such as 4 * quadrant + ratio, doubles are 8.9 * 10**-16
+    apart, wider than that gap, and distinct keys round together.  Sorting
+    costs O(n log n) a row.
+    """
+    x = coords[:, 0].astype(np.float64)
+    y = coords[:, 1].astype(np.float64)
+    dx = x - x[rows, None]
+    dy = y - y[rows, None]
+    lower = (dy < 0) | ((dy == 0) & (dx < 0))
+    np.negative(dx, out=dx, where=lower)
+    np.negative(dy, out=dy, where=lower)
+    second = dx <= 0
+    num = np.where(second, -dx, dy)
+    den = np.where(second, dy - dx, dx + dy)
+    zero = den == 0
+    den[zero] = 1.0
+    quadrant = second.view(np.int8) + zero.view(np.int8)
+    ratio = num / den
+    order = np.lexsort((ratio, quadrant))
+    quadrant = np.take_along_axis(quadrant, order, axis=1)
+    ratio = np.take_along_axis(ratio, order, axis=1)
+    tie = np.zeros(order.shape, dtype=bool)
+    tie[:, 1:] = (quadrant[:, 1:] == quadrant[:, :-1]) & (ratio[:, 1:] == ratio[:, :-1])
+    return order, np.take_along_axis(lower, order, axis=1), tie
+
+
 def find_violation(points) -> Optional[Violation]:
     """Scan for the first duplicate pair or collinear triple, in index order.
 
     Returns None when the points are in general position.  Duplicates are
     reported before collinear triples.  Every coordinate is checked against
-    ``COORD_BOUND`` first (InvalidPlacementError otherwise), so the single
-    collinear scan, one vectorized pass per anchor point over all C(n, 3)
-    triples, is exact in int64: each product is below 4 * 10**14.
+    ``COORD_BOUND`` first (InvalidPlacementError otherwise), so the
+    ``direction_keys`` of every point are exact: three points are collinear
+    exactly when two of them tie around the third, which costs
+    O(n^2 log n) to rule out.  Only when a tie exists does an O(n^3) scan
+    look for the first collinear triple in index order.
     """
     pts = [(p[0], p[1]) for p in points]
     n = len(pts)
@@ -138,6 +203,10 @@ def find_violation(points) -> Optional[Violation]:
     if n < 3:
         return None
     coords = np.asarray(pts, dtype=np.int64)
+    if not any(direction_keys(coords, rows)[2].any() for rows in row_blocks(n)):
+        return None
+    # a collinear triple exists: find the first, one vectorized pass per
+    # anchor point, exact in int64 since each product is below 4 * 10**14
     x, y = coords[:, 0], coords[:, 1]
     for i in range(n - 2):
         dx = x[i + 1 :] - x[i]
@@ -155,10 +224,10 @@ class Placement:
     """An ordered sequence of integer points, assumed in general position.
 
     Construction checks the cheap structural invariants (n >= 3, integer
-    coordinates within bounds, no duplicates).  The O(n^3) general-position
-    scan runs in ``from_points``/``load_placement``; code that builds
-    placements incrementally and proves validity along the way may call the
-    constructor directly.
+    coordinates within bounds, no duplicates).  The general-position check,
+    ``find_violation`` in O(n^2 log n), runs in ``from_points`` and
+    ``load_placement``; code that builds placements incrementally and
+    proves validity along the way may call the constructor directly.
     """
 
     points: tuple
