@@ -1,10 +1,10 @@
 """Search for placements with few convex pentagons by simulated annealing.
 
-Each proposal moves one point and re-evaluates only the 5-subsets through it
-via cached orientation signs, so a step costs O(n^4) sign lookups instead of
-a full recount.  The incremental count is audited against a from-scratch
-recount during and after the run; a best below a proven floor would flag the
-result as inconsistent instead of reporting it.
+Each proposal moves one point and scores the move from the triples of fixed
+points it completes to a tridot, so a step costs O(n^3) instead of a full
+recount.  The incremental count is audited against a from-scratch recount
+during and after the run; a best below a proven floor would flag the result
+as inconsistent instead of reporting it.
 """
 
 import time

@@ -8,13 +8,15 @@ work by sorting the directions around each point once, by the exact key of
 ``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
 and each key is rounded by at most 2**-54.  ``pivot_regions`` then yields
 all seven region counts of every triangle with a given smallest vertex in
-O(1) per triangle, so a full pass costs O(n^3).
+O(1) per triangle.  ``triangle_regions`` is the one pass over all C(n, 3)
+triangles, O(n^3) in all: the region sums, the region table and the
+annealer's completion table are all read off it.
 
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
 for the candidate and the current position together, which triples of
 fixed points x completes to a tridot, and turns the counts of those
-triples, of their pairs and of their entries in ``completion_table`` into
+triples, of their pairs and of their entries in the completion table into
 the exact change in the pentagon count, all in O(n^3).
 ``pentagons_from_completion`` counts pentagons from the same table.
 
@@ -27,7 +29,7 @@ in Python ints, which are unbounded.
 from __future__ import annotations
 
 from math import comb
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -133,6 +135,18 @@ def pivot_regions(
     return v2, v3, interior, beta, gamma
 
 
+def triangle_regions(
+    coords: np.ndarray,
+) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
+    """The one pass over all C(n, 3) triangles: (i, pivot_regions(coords,
+    ranks, left, i)) for every smallest vertex i in turn, so the triangles
+    come in ``sorted_triples`` order.  The rank tables are built once, when
+    the first chunk is asked for; the pass keeps no chunk between yields."""
+    ranks, left = rank_tables(coords)
+    for i in range(coords.shape[0] - 2):
+        yield i, pivot_regions(coords, ranks, left, i)
+
+
 def reduce_regions(
     interior: np.ndarray, beta: np.ndarray, gamma: np.ndarray
 ) -> Tuple[int, ...]:
@@ -198,32 +212,20 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
 
 def sorted_triples(n: int) -> np.ndarray:
     """Flat indices into a raveled (n, n, n) tensor of the C(n, 3) triples
-    a < b < c, in lexicographic order: the order of ``pivot_regions`` over
-    pivots 0..n-3 and of ``itertools.combinations(range(n), 3)``."""
+    a < b < c, in lexicographic order: the order of ``triangle_regions`` and
+    of ``itertools.combinations(range(n), 3)``."""
     a, b, c = np.ogrid[:n, :n, :n]
     return np.flatnonzero((a < b) & (b < c))
 
 
-def completion_table(coords: np.ndarray) -> np.ndarray:
-    """(C(n, 3),) int64: for every triple a < b < c in ``sorted_triples``
-    order, the number of other points d that make {a, b, c, d} a tridot.
-
-    d makes a tridot exactly when it lies inside the triangle or in one of
-    its corner regions (then the corner's vertex lies inside the triangle of
-    d and the other two), so the entry is interior + sum(beta) as
-    ``pivot_regions`` reads it.
-    """
-    ranks, left = rank_tables(coords)
-    parts = []
-    for i in range(coords.shape[0] - 2):
-        _, _, interior, beta, _ = pivot_regions(coords, ranks, left, i)
-        parts.append(interior + beta.sum(axis=0))
-    return np.concatenate(parts)
-
-
 def pentagons_from_completion(table: np.ndarray, n: int) -> int:
     """The number of convex pentagons among n points, from their
-    ``completion_table``.
+    completion table: for every triple a < b < c in ``sorted_triples``
+    order, the number of other points d that make {a, b, c, d} a tridot.
+    d makes a tridot exactly when it lies inside the triangle or in one of
+    its corner regions (then the corner's vertex lies inside the triangle of
+    d and the other two), so an entry is interior + sum(beta) of its
+    triangle in ``triangle_regions``.
 
     A 5-subset has 0, 2 or 4 tridot 4-subsets (hull of 5, 4 or 3 points),
     and any two of its 4-subsets share a triple.  With Q the tridot
@@ -256,10 +258,10 @@ def pentagon_pair_delta(
     pairs the (2, n, n) signs or(p_a, p_b, x) at the candidate (row 0) and
     at the current position (row 1), 0 wherever a == b or a or b is x's own
     index u; triples comes from ``sorted_triples(n)`` and completion is the
-    current ``completion_table``.  Returns (delta, tri, te): tri is the
-    (2, C(n, 3)) int8 indicator that a triple of fixed points forms a tridot
-    with x, and te the (2, n, n) int8 number of such triples through each
-    pair.
+    current completion table (see ``pentagons_from_completion``).  Returns
+    (delta, tri, te): tri is the (2, C(n, 3)) int8 indicator that a triple
+    of fixed points forms a tridot with x, and te the (2, n, n) int8 number
+    of such triples through each pair.
 
     Four points in general position form a tridot exactly when an odd
     number of the orientation signs of their four triangles is positive,

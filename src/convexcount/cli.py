@@ -289,63 +289,32 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_request(args) -> int:
+    """count, verify and bound: load and count the file, add the command's
+    own section, then fill the shared sections and emit the report."""
     t0 = time.perf_counter()
     placement = _load(args.file)
     parse_time = time.perf_counter() - t0
 
     report = _report_skeleton(placement.n, args.engine)
     t4, t5, agg, timings = _count_with_engine(placement, args.engine)
+    code = EXIT_OK
+    t0 = time.perf_counter()
+    if args.command == "verify":
+        ident = verify_identities(agg, t4, t5)
+        report["identities"] = _identities_json(ident)
+        code = EXIT_OK if ident.all_pass else EXIT_FAIL
+    elif args.command == "bound":
+        report["bound"] = _bound_json(bound_report(placement, agg=agg, t5=t5))
+    if args.command != "count":
+        timings[args.command] = time.perf_counter() - t0
+
     report["counts4"] = _counts4_json(t4)
     report["counts5"] = _counts5_json(t5)
     report["stats"] = _stats_json(stats(agg, t5))
     report["timings"] = {"parse": parse_time, **timings}
     _emit(report, args.format)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    placement = _load(args.file)
-    parse_time = time.perf_counter() - t0
-
-    report = _report_skeleton(placement.n, "regions")
-    t4, t5, agg, timings = _count_with_engine(placement, "regions")
-    t0 = time.perf_counter()
-    ident = verify_identities(agg, t4, t5)
-    timings["verify"] = time.perf_counter() - t0
-
-    report["counts4"] = _counts4_json(t4)
-    report["counts5"] = _counts5_json(t5)
-    report["stats"] = _stats_json(stats(agg, t5))
-    report["identities"] = _identities_json(ident)
-    report["timings"] = {"parse": parse_time, **timings}
-    _emit(report, args.format)
-    return EXIT_OK if ident.all_pass else EXIT_FAIL
-
-
-def cmd_bound(args) -> int:
-    t0 = time.perf_counter()
-    placement = _load(args.file)
-    parse_time = time.perf_counter() - t0
-    if placement.n < 5:
-        print(f"error: the bound chain needs n >= 5, got {placement.n}",
-              file=sys.stderr)
-        return EXIT_INVALID
-
-    report = _report_skeleton(placement.n, "regions")
-    t4, t5, agg, timings = _count_with_engine(placement, "regions")
-    t0 = time.perf_counter()
-    br = bound_report(placement, agg=agg, t5=t5)
-    timings["bound"] = time.perf_counter() - t0
-
-    report["counts4"] = _counts4_json(t4)
-    report["counts5"] = _counts5_json(t5)
-    report["stats"] = _stats_json(stats(agg, t5))
-    report["bound"] = _bound_json(br)
-    report["timings"] = {"parse": parse_time, **timings}
-    _emit(report, args.format)
-    return EXIT_OK
+    return code
 
 
 def cmd_minimize(args) -> int:
@@ -461,17 +430,17 @@ def build_parser() -> _Parser:
     p_count.add_argument("file")
     p_count.add_argument("--engine", choices=("naive", "regions", "auto"), default="auto")
     p_count.add_argument("--format", choices=("json", "text"), default="text")
-    p_count.set_defaults(func=cmd_count)
+    p_count.set_defaults(func=cmd_request)
 
     p_verify = sub.add_parser("verify", help="verify all exact counting identities")
     p_verify.add_argument("file")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_request, engine="regions")
 
     p_bound = sub.add_parser("bound", help="evaluate the pentagon lower-bound chain")
     p_bound.add_argument("file")
     p_bound.add_argument("--format", choices=("json", "text"), default="text")
-    p_bound.set_defaults(func=cmd_bound)
+    p_bound.set_defaults(func=cmd_request, engine="regions")
 
     p_min = sub.add_parser("minimize", help="search for a low-pentagon placement")
     p_min.add_argument("--n", type=_int_at_least(5), required=True)

@@ -242,17 +242,13 @@ def region_counts(placement: Placement, tri: TriangleRef) -> RegionCounts:
 
 
 def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]:
-    """Full per-triangle region table from the region engine's own gather,
+    """Full per-triangle region table from the region engine's own pass,
     for diagnostics; capped at n <= 60 because it materializes all C(n,3)
     rows.  Rows run in lexicographic order of the sorted index triples."""
-    n = placement.n
-    if n > 60:
+    if placement.n > 60:
         raise ValueError("region_table is a diagnostic aid, capped at n <= 60")
-    coords = placement.coords
-    ranks, left = _kernels.rank_tables(coords)
     table = []
-    for i in range(n - 2):
-        v2, v3, interior, beta, gamma = _kernels.pivot_regions(coords, ranks, left, i)
+    for i, (v2, v3, interior, beta, gamma) in _kernels.triangle_regions(placement.coords):
         for j, k, inner, b, g in zip(
             v2.tolist(), v3.tolist(), interior.tolist(), beta.T.tolist(), gamma.T.tolist()
         ):
@@ -263,10 +259,10 @@ def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]
 def aggregate_regions(placement: Placement) -> AggregateSums:
     """Aggregate region counts over all C(n,3) canonical triangles.
 
-    Builds the angular-rank tables once, then gathers and reduces the
-    triangles of one smallest vertex at a time, so memory stays O(n^2).
-    Each chunk is reduced in int64: a chunk has at most C(n-1,2) triangles
-    and every per-triangle term is at most n^2, so its sums stay below
+    Reads the triangles of one smallest vertex at a time off
+    ``_kernels.triangle_regions``, so memory stays O(n^2).  Each chunk is
+    reduced in int64: a chunk has at most C(n-1,2) triangles and every
+    per-triangle term is at most n^2, so its sums stay below
     C(n-1,2) * n^2, which is below 2^63 exactly for n <= MAX_AGGREGATE_N
     (65536); a larger n raises ValueError before any table is built.
     Chunks are summed in Python ints.  Raises CollinearError on a placement
@@ -279,11 +275,14 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
         raise ValueError(
             f"aggregation is exact in int64 only for n <= {MAX_AGGREGATE_N}, got {n}"
         )
-    coords = placement.coords
-    ranks, left = _kernels.rank_tables(coords)
+    return _aggregate(n, _kernels.triangle_regions(placement.coords))
+
+
+def _aggregate(n: int, chunks) -> AggregateSums:
+    """The sums of ``aggregate_regions`` over the chunks of one
+    ``_kernels.triangle_regions`` pass of n points, unguarded."""
     acc = [0] * 10
-    for i in range(n - 2):
-        _, _, interior, beta, gamma = _kernels.pivot_regions(coords, ranks, left, i)
+    for _, (_, _, interior, beta, gamma) in chunks:
         for idx, value in enumerate(_kernels.reduce_regions(interior, beta, gamma)):
             acc[idx] += value
     return AggregateSums(n, comb(n, 3), *acc)

@@ -246,12 +246,11 @@ class Placement:
             seen.add(p)
 
     @classmethod
-    def from_points(cls, points: Iterable[PointLike], validate: bool = True) -> "Placement":
+    def from_points(cls, points: Iterable[PointLike]) -> "Placement":
         pts = tuple(Point(p[0], p[1]) for p in points)
-        if validate:
-            violation = find_violation(pts)
-            if violation is not None:
-                raise ValidationError(violation)
+        violation = find_violation(pts)
+        if violation is not None:
+            raise ValidationError(violation)
         return cls(pts)
 
     @property

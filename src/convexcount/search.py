@@ -12,8 +12,9 @@ which bound the size together with the kernel's int8 pair counts:
 ``MAX_ANNEAL_N``.  Published exact minima act as tripwires: since 16-point
 placements always contain at least 112 pentagons and 18-point placements at
 least 252, any search result below those values proves a counting bug, so
-the result carries a consistency flag and the periodic recounts, which also
-rebuild the table, raise on divergence.
+the result carries a consistency flag and the periodic recounts, which
+rebuild the count and the table from one pass over the triangles, raise on
+divergence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .counting import InconsistentCountsError, aggregate_regions, count5_from_regions
+from .counting import (
+    InconsistentCountsError,
+    _aggregate,
+    aggregate_regions,
+    count5_from_regions,
+)
 from .geometry import COORD_BOUND, ConvexCountError, Placement, Point, find_violation
 
 
@@ -253,7 +259,10 @@ class _Chain:
     rewrites the C(n-1, 2) entries through u from the candidate's pair
     counts, and rewrites three tensor slices.  A candidate is rejected when
     its pair-sign matrix over the fixed points has a zero off the diagonal,
-    which covers both a collinear triple and a repeated point.
+    which covers both a collinear triple and a repeated point.  The chain
+    start and every recount read the pentagon count and the completion table
+    off one ``_kernels.triangle_regions`` pass and check them against each
+    other.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -272,12 +281,18 @@ class _Chain:
         self.current, self.completion = self._recount()
 
     def _recount(self) -> Tuple[int, np.ndarray]:
-        """A from-scratch pentagon count and completion table, checked
-        against each other."""
-        count = count5_from_regions(
-            aggregate_regions(Placement(tuple(self.points)))
-        ).pentagon
-        table = _kernels.completion_table(self.coords)
+        """A from-scratch pentagon count and completion table from one
+        triangle pass, checked against each other."""
+        entries = []
+
+        def chunks():
+            for chunk in _kernels.triangle_regions(self.coords):
+                _, _, interior, beta, _ = chunk[1]
+                entries.append(interior + beta.sum(axis=0))
+                yield chunk
+
+        count = count5_from_regions(_aggregate(self.n, chunks())).pentagon
+        table = np.concatenate(entries)
         from_table = _kernels.pentagons_from_completion(table, self.n)
         if from_table != count:
             raise InconsistentCountsError(

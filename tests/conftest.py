@@ -2,10 +2,11 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from convexcount import COORD_BOUND, GeneratorSpec, Placement, generate
+from convexcount import COORD_BOUND, GeneratorSpec, Placement, _kernels, generate
 
 coord = st.one_of(
     st.integers(-15, 15),
@@ -20,6 +21,15 @@ def parabola(n: int) -> Placement:
 
 def random_disc(n: int, seed: int, bound: int = 1000) -> Placement:
     return generate(GeneratorSpec("random_disc", n, seed=seed, coord_bound=bound))
+
+
+def completion_table(coords):
+    """The annealer's completion table read off the one triangle pass: per
+    sorted triple, the points inside the triangle or beyond a corner."""
+    return np.concatenate([
+        interior + beta.sum(axis=0)
+        for _, (_, _, interior, beta, _) in _kernels.triangle_regions(coords)
+    ])
 
 
 def point_in_triangle(p, a, b, c) -> bool:

@@ -178,7 +178,9 @@ def test_bound_parabola20(tmp_path, capsys):
 def test_bound_too_small_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "tiny.txt", "4\n0 0\n6 0\n0 6\n1 1\n")
     assert main(["bound", path]) == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the bound chain needs n >= 5, got 4\n"
 
 
 def test_minimize_deterministic(tmp_path, capsys):

@@ -24,7 +24,7 @@ from convexcount import _kernels, geometry
 from convexcount.classification import Type4, Type5, classify4, classify5
 from convexcount.geometry import find_violation
 
-from conftest import coord, parabola, random_disc
+from conftest import completion_table, coord, parabola, random_disc
 
 
 def reference_rank_tables(coords):
@@ -185,13 +185,13 @@ def test_naive_counts_reject_collinear_triple():
 def test_pentagons_from_completion_matches_naive():
     for p in (random_disc(9, seed=1), random_disc(12, seed=5), random_disc(16, seed=7),
               parabola(8), random_disc(10, seed=2, bound=COORD_BOUND)):
-        table = _kernels.completion_table(p.coords)
+        table = completion_table(p.coords)
         assert _kernels.pentagons_from_completion(table, p.n) == count5_naive(p).pentagon
 
 
 def test_pentagons_from_completion_rejects_inexact_table():
     p = random_disc(11, seed=6)
-    table = _kernels.completion_table(p.coords)
+    table = completion_table(p.coords)
     bad = table.copy()
     bad[0] += 1
     # one entry t -> t + 1 moves 32 * pentagons by 8t - 5(n - 4)

@@ -32,7 +32,7 @@ from convexcount import _kernels, search
 from convexcount.geometry import find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
-from conftest import coord, hull_size, random_disc
+from conftest import completion_table, coord, hull_size, random_disc
 
 
 def test_parabola_generator_exact_points():
@@ -108,7 +108,7 @@ def _kernel_inputs(p, u, cand):
     pair_new[u, :] = 0
     pair_new[:, u] = 0
     pairs = np.stack((pair_new, signs[:, :, u]))
-    return signs, pairs, _kernels.sorted_triples(p.n), _kernels.completion_table(coords)
+    return signs, pairs, _kernels.sorted_triples(p.n), completion_table(coords)
 
 
 def _kernel_delta(p, u, cand):
@@ -330,6 +330,22 @@ def test_completion_table_tracks_every_accepted_move(n):
                 counts = region_counts(placement, canonical_triangle(placement, i, j, k))
                 assert entry == counts.interior + counts.beta_total
     assert checked >= 3
+
+
+def test_chain_start_and_recount_make_one_pass(monkeypatch):
+    built = []
+    rank_tables = _kernels.rank_tables
+
+    def counted(coords):
+        built.append(coords.shape[0])
+        return rank_tables(coords)
+
+    monkeypatch.setattr(_kernels, "rank_tables", counted)
+    cfg = AnnealConfig(n=9, iterations=1, seed=1, coord_bound=200)
+    chain = _Chain(random_disc(9, seed=2, bound=200), np.random.default_rng(0), cfg)
+    assert built == [9]
+    chain._verify_recount()
+    assert built == [9, 9]
 
 
 def test_chain_rejects_inconsistent_incidences(monkeypatch):
