@@ -1,4 +1,4 @@
-"""Command-line interface: generate, count, verify, bound, minimize, bench.
+"""Command-line interface: gen, count, verify, bound and minimize.
 
 Exit codes are uniform across subcommands: 0 success, 1 verification or
 consistency failure, 2 invalid input data, 3 usage error.  JSON reports are
@@ -59,6 +59,12 @@ _GEN_KINDS = {
 }
 
 NAIVE_CHECK_MAX_N = 11
+
+# Largest n for --engine naive.  It classifies all C(n,5) subsets in pure
+# Python: 0.8 s at n=50 and 2.1 s at n=60 on a 2-vCPU machine, so about
+# 27 s at n=100 by n**5 scaling, and its tridot flags take C(n,4) bytes
+# (3.9 MB at n=100).  Above it the request exits 2 before counting.
+NAIVE_ENGINE_MAX_N = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,6 +257,11 @@ def _count_with_engine(placement: Placement, engine: str):
     auto uses the region engine and, for small n, replays the naive engines
     as an oracle; any disagreement raises InconsistentCountsError.
     """
+    if engine == "naive" and placement.n > NAIVE_ENGINE_MAX_N:
+        raise ValueError(
+            f"--engine naive needs n <= {NAIVE_ENGINE_MAX_N}, got {placement.n}; "
+            "use --engine regions"
+        )
     timings = {}
     t0 = time.perf_counter()
     agg = aggregate_regions(placement)
@@ -344,69 +355,6 @@ def cmd_minimize(args) -> int:
     return EXIT_FAIL if result.consistency == CONSISTENCY_VIOLATION else EXIT_OK
 
 
-def _bench_engine(placement: Placement, engine: str, repeat: int):
-    best = None
-    counts = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        if engine == "naive":
-            t4 = count4_naive(placement)
-            t5 = count5_naive(placement)
-        else:
-            agg = aggregate_regions(placement)
-            t4 = count4_from_regions(agg)
-            t5 = count5_from_regions(agg)
-        elapsed = time.perf_counter() - t0
-        counts = (t4, t5)
-        best = elapsed if best is None else min(best, elapsed)
-    return best, counts
-
-
-def cmd_bench(args) -> int:
-    sizes = args.n
-    engines = args.engines
-    print(f"{'n':>5} {'engine':>8} {'seconds':>10} {'quad':>12} {'pentagon':>12}")
-    ok = True
-    for n in sizes:
-        placement = generate(
-            GeneratorSpec("random_disc", n, seed=1000 + n, coord_bound=1_000_000)
-        )
-        results = {}
-        for engine in engines:
-            elapsed, counts = _bench_engine(placement, engine, args.repeat)
-            results[engine] = (elapsed, counts)
-            t4, t5 = counts
-            print(f"{n:>5} {engine:>8} {elapsed:>10.4f} {t4.quad:>12} {t5.pentagon:>12}")
-        if len(engines) == 2:
-            (tn, cn), (tr, cr) = results["naive"], results["regions"]
-            if cn != cr:
-                print(f"engine mismatch at n={n}: naive {cn} vs regions {cr}",
-                      file=sys.stderr)
-                ok = False
-            elif tr > 0:
-                print(f"{'':>5} speedup regions vs naive: {tn / tr:.1f}x")
-    return EXIT_OK if ok else EXIT_FAIL
-
-
-def _engines_list(text: str):
-    names = [e.strip() for e in text.split(",") if e.strip()]
-    if not names or any(e not in ("naive", "regions") for e in names):
-        raise argparse.ArgumentTypeError(
-            f"engines must be a comma list drawn from naive,regions; got {text!r}"
-        )
-    return sorted(set(names))
-
-
-def _sizes_list(text: str):
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers")
-    if not sizes or any(n < 5 for n in sizes):
-        raise argparse.ArgumentTypeError("benchmark sizes must all be at least 5")
-    return sizes
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="convexcount",
@@ -451,13 +399,6 @@ def build_parser() -> _Parser:
     p_min.add_argument("--target", type=_int_at_least(0))
     p_min.add_argument("-o", "--output", metavar="FILE")
     p_min.set_defaults(func=cmd_minimize)
-
-    p_bench = sub.add_parser("bench", help="compare counting engines")
-    p_bench.add_argument("--n", type=_sizes_list, required=True,
-                         help="comma list of sizes, e.g. 20,30,40")
-    p_bench.add_argument("--engines", type=_engines_list, default=["naive", "regions"])
-    p_bench.add_argument("--repeat", type=_int_at_least(1), default=1)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

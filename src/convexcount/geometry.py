@@ -180,33 +180,34 @@ def direction_keys(
     return order, np.take_along_axis(lower, order, axis=1), tie
 
 
-def find_violation(points) -> Optional[Violation]:
-    """Scan for the first duplicate pair or collinear triple, in index order.
-
-    Returns None when the points are in general position.  Duplicates are
-    reported before collinear triples.  Every coordinate is checked against
-    ``COORD_BOUND`` first (InvalidPlacementError otherwise), so the
-    ``direction_keys`` of every point are exact: three points are collinear
-    exactly when two of them tie around the third, which costs
-    O(n^2 log n) to rule out.  Only when a tie exists does an O(n^3) scan
-    look for the first collinear triple in index order.
-    """
-    pts = [(p[0], p[1]) for p in points]
-    n = len(pts)
+def _first_duplicate(points) -> Optional[Duplicate]:
+    """The first pair of equal points, in index order, or None.  Every
+    coordinate up to that pair must be an int within ``COORD_BOUND``
+    (InvalidPlacementError otherwise), which keeps the int64 products of
+    ``_first_collinear`` exact."""
     seen: dict = {}
-    for i, p in enumerate(pts):
+    for i, p in enumerate(points):
         _check_coord(p[0], i)
         _check_coord(p[1], i)
         if p in seen:
             return Duplicate(seen[p], i)
         seen[p] = i
-    if n < 3:
+    return None
+
+
+def _first_collinear(coords: np.ndarray) -> Optional[Collinear]:
+    """The first collinear triple, in index order, or None.
+
+    ``coords`` holds distinct points within ``COORD_BOUND``, so their
+    ``direction_keys`` are exact: three points are collinear exactly when
+    two of them tie around the third, which costs O(n^2 log n) to rule out.
+    Only when a tie exists does an O(n^3) scan look for the first triple.
+    """
+    n = len(coords)
+    if n < 3 or not any(direction_keys(coords, rows)[2].any() for rows in row_blocks(n)):
         return None
-    coords = np.asarray(pts, dtype=np.int64)
-    if not any(direction_keys(coords, rows)[2].any() for rows in row_blocks(n)):
-        return None
-    # a collinear triple exists: find the first, one vectorized pass per
-    # anchor point, exact in int64 since each product is below 4 * 10**14
+    # one vectorized pass per anchor point, exact in int64 since each
+    # product is below 4 * 10**14
     x, y = coords[:, 0], coords[:, 1]
     for i in range(n - 2):
         dx = x[i + 1 :] - x[i]
@@ -219,15 +220,24 @@ def find_violation(points) -> Optional[Violation]:
     return None
 
 
+def find_violation(points) -> Optional[Violation]:
+    """The first duplicate pair, else the first collinear triple, in index
+    order; None in general position.  Violations are data: ``points`` is any
+    sequence of (x, y) pairs or a ``Placement``, and only a coordinate that
+    is not an int within ``COORD_BOUND`` raises (InvalidPlacementError)."""
+    pts = [(p[0], p[1]) for p in points]
+    return _first_duplicate(pts) or _first_collinear(np.asarray(pts, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class Placement:
-    """An ordered sequence of integer points, assumed in general position.
+    """An ordered sequence of integer points.
 
-    Construction checks the cheap structural invariants (n >= 3, integer
-    coordinates within bounds, no duplicates).  The general-position check,
-    ``find_violation`` in O(n^2 log n), runs in ``from_points`` and
-    ``load_placement``; code that builds placements incrementally and
-    proves validity along the way may call the constructor directly.
+    The constructor checks n >= 3 and the coordinates (InvalidPlacementError)
+    and raises ValidationError on a duplicate point, but does not look for
+    collinear triples; ``from_points`` and ``load_placement`` do.  Code that
+    proves general position along the way, and tests that need a degenerate
+    placement, call the constructor directly.
     """
 
     points: tuple
@@ -237,21 +247,19 @@ class Placement:
             raise InvalidPlacementError(
                 f"a placement needs at least 3 points, got {len(self.points)}"
             )
-        seen = set()
-        for idx, p in enumerate(self.points):
-            _check_coord(p[0], idx)
-            _check_coord(p[1], idx)
-            if p in seen:
-                raise InvalidPlacementError(f"duplicate point {p} at index {idx}")
-            seen.add(p)
+        duplicate = _first_duplicate(self.points)
+        if duplicate is not None:
+            raise ValidationError(duplicate)
 
     @classmethod
     def from_points(cls, points: Iterable[PointLike]) -> "Placement":
-        pts = tuple(Point(p[0], p[1]) for p in points)
-        violation = find_violation(pts)
-        if violation is not None:
-            raise ValidationError(violation)
-        return cls(pts)
+        """A placement in general position: the constructor's checks, then
+        one O(n^2 log n) scan for collinear triples (ValidationError)."""
+        placement = cls(tuple(Point(p[0], p[1]) for p in points))
+        collinear = _first_collinear(placement.coords)
+        if collinear is not None:
+            raise ValidationError(collinear)
+        return placement
 
     @property
     def n(self) -> int:
@@ -272,14 +280,6 @@ class Placement:
 
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
-
-
-def validate_placement(placement) -> Optional[Violation]:
-    """Return None when valid, else the first duplicate pair or collinear
-    triple.  Violations are data, not exceptions; a coordinate that is not
-    an int within the bound raises InvalidPlacementError."""
-    points = placement.points if isinstance(placement, Placement) else placement
-    return find_violation(points)
 
 
 _INT_TOKEN = re.compile(r"0|-?[1-9][0-9]*")

@@ -32,7 +32,7 @@ from .counting import (
     aggregate_regions,
     count5_from_regions,
 )
-from .geometry import COORD_BOUND, ConvexCountError, Placement, Point, find_violation
+from .geometry import COORD_BOUND, ConvexCountError, Placement, Point, ValidationError
 
 
 class GenerationError(ConvexCountError):
@@ -163,8 +163,10 @@ def _generate_grid_perturbed(spec: GeneratorSpec) -> Placement:
                for (cx, cy), (jx, jy) in zip(cells, jit)]
         if any(abs(p.x) > spec.coord_bound or abs(p.y) > spec.coord_bound for p in pts):
             continue
-        if find_violation(pts) is None:
-            return Placement(tuple(pts))
+        try:
+            return Placement.from_points(pts)
+        except ValidationError:
+            continue
     raise ExhaustedRejectionError(
         f"no valid perturbed {side}x{side} grid found within bound {spec.coord_bound}"
     )

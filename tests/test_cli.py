@@ -1,4 +1,6 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,8 +46,8 @@ def test_help_exits_zero(capsys):
         ["gen", "--n", "8", "--bound", "2"],
         ["count"],
         ["count", "f.txt", "--engine", "warp"],
-        ["bench", "--n", "4,10"],
-        ["bench", "--n", "10", "--engines", "bogus"],
+        ["bench", "--n", "8"],
+        ["verify", "f.txt", "--engine", "naive"],
         ["minimize", "--n", "4"],
         ["count", "f.txt", "--threads", "2"],
     ],
@@ -99,6 +101,7 @@ def test_count_parabola7(engine, parabola7_file, capsys):
     assert report["stats"]["mean_gamma"] == {"exact": "4", "float": 4.0}
     assert report["identities"] is None and report["bound"] is None
     assert "aggregate" in report["timings"]
+    assert ("naive" in report["timings"]) == (engine != "regions")
 
 
 def test_count_text_output(parabola7_file, capsys):
@@ -140,6 +143,19 @@ def test_count_engine_mismatch_exits_1(parabola7_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "count5_naive", lambda p: TypeCounts5(999, 0, 0))
     assert main(["count", parabola7_file, "--engine", "naive"]) == 1
     capsys.readouterr()
+
+
+def test_count_naive_above_size_limit_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(placement):
+        raise AssertionError("the naive engine ran above its size limit")
+
+    monkeypatch.setattr(cli, "count5_naive", refuse)
+    n = cli.NAIVE_ENGINE_MAX_N + 1
+    path = _write(tmp_path, "p.txt", dumps_placement(parabola(n)))
+    assert main(["count", path, "--engine", "naive"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"n <= {cli.NAIVE_ENGINE_MAX_N}" in err
 
 
 def test_verify_t2(t2_file, capsys):
@@ -211,15 +227,12 @@ def test_minimize_target_stops_early(capsys):
     assert "best_pentagons: 0" in out
 
 
-def test_bench_two_engines(capsys):
-    assert main(["bench", "--n", "8,10"]) == 0
-    out = capsys.readouterr().out
-    assert "naive" in out and "regions" in out
-    assert "speedup" in out
-    assert out.count("\n") >= 5
-
-
-def test_bench_single_engine(capsys):
-    assert main(["bench", "--n", "8", "--engines", "naive"]) == 0
-    out = capsys.readouterr().out
-    assert "naive" in out and "speedup" not in out
+def test_readme_lists_every_subcommand():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {line.split()[1] for line in block.splitlines()
+              if line.startswith("convexcount ")}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert listed == set(sub.choices)

@@ -20,12 +20,12 @@ from convexcount import (
     ValidationError,
     cross,
     dumps_placement,
+    find_violation,
     load_placement,
     orientation,
     save_placement,
-    validate_placement,
 )
-from convexcount.geometry import find_violation
+from convexcount import geometry
 
 coords = st.integers(min_value=-COORD_BOUND, max_value=COORD_BOUND)
 points = st.tuples(coords, coords)
@@ -62,12 +62,13 @@ def test_orientation_translation_invariance(a, b, c, dx, dy):
     assert orientation(a, b, c) == orientation(shift(a), shift(b), shift(c))
 
 
-def test_validate_placement_examples():
-    assert validate_placement([(0, 0), (1, 0), (0, 1)]) is None
-    v = validate_placement([(0, 0), (1, 1), (2, 2), (5, 0)])
+def test_find_violation_examples():
+    assert find_violation([(0, 0), (1, 0), (0, 1)]) is None
+    v = find_violation([(0, 0), (1, 1), (2, 2), (5, 0)])
     assert v == Collinear(0, 1, 2)
-    v = validate_placement([(0, 0), (0, 0), (1, 2)])
+    v = find_violation([(0, 0), (0, 0), (1, 2)])
     assert v == Duplicate(0, 1)
+    assert find_violation(Placement(((0, 0), (1, 1), (2, 2), (5, 0)))) == Collinear(0, 1, 2)
 
 
 def _planted_triple():
@@ -110,8 +111,9 @@ def test_placement_construction_errors():
         Placement(((0, 0), (1, 1)))
     with pytest.raises(InvalidPlacementError):
         Placement(((0, 0), (1, 1), (COORD_BOUND + 1, 0)))
-    with pytest.raises(InvalidPlacementError):
+    with pytest.raises(ValidationError) as exc:
         Placement((Point(0, 0), Point(1, 1), Point(0, 0)))
+    assert exc.value.violation == Duplicate(0, 2)
     with pytest.raises(ValidationError):
         Placement.from_points([(0, 0), (1, 1), (2, 2)])
     # beyond the bound int64 products would wrap and fake a collinear triple
@@ -119,7 +121,25 @@ def test_placement_construction_errors():
     with pytest.raises(InvalidPlacementError):
         Placement.from_points(wide)
     with pytest.raises(InvalidPlacementError):
-        validate_placement(wide)
+        find_violation(wide)
+
+
+def test_each_coordinate_checked_once(monkeypatch):
+    pts = [(i, i * i) for i in range(12)]
+    text = dumps_placement(Placement(tuple(pts)))
+    calls = []
+    check = geometry._check_coord
+
+    def counted(v, index):
+        calls.append(index)
+        return check(v, index)
+
+    monkeypatch.setattr(geometry, "_check_coord", counted)
+    Placement.from_points(pts)
+    assert len(calls) == 2 * len(pts)
+    calls.clear()
+    load_placement(text)
+    assert len(calls) == 2 * len(pts)
 
 
 def test_placement_basics():
