@@ -17,8 +17,10 @@ The annealer's kernel scores a move of one point x without touching a
 for the candidate and the current position together, which triples of
 fixed points x completes to a tridot, and turns the counts of those
 triples, of their pairs and of their entries in the completion table into
-the exact change in the pentagon count, all in O(n^3).
-``pentagons_from_completion`` counts pentagons from the same table.
+the exact change in the pentagon count, all in O(n^3).  The completion
+table is a dense symmetric (n, n, n) int8 tensor in the layout of the
+orientation sign tensor, and ``pentagons_from_completion`` counts
+pentagons from it.
 
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
@@ -140,8 +142,9 @@ def triangle_regions(
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
     """The one pass over all C(n, 3) triangles: (i, pivot_regions(coords,
     ranks, left, i)) for every smallest vertex i in turn, so the triangles
-    come in ``sorted_triples`` order.  The rank tables are built once, when
-    the first chunk is asked for; the pass keeps no chunk between yields."""
+    come in lexicographic order of their sorted index triples.  The rank
+    tables are built once, when the first chunk is asked for; the pass
+    keeps no chunk between yields."""
     ranks, left = rank_tables(coords)
     for i in range(coords.shape[0] - 2):
         yield i, pivot_regions(coords, ranks, left, i)
@@ -210,18 +213,11 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     return np.sign(cross).astype(np.int8)
 
 
-def sorted_triples(n: int) -> np.ndarray:
-    """Flat indices into a raveled (n, n, n) tensor of the C(n, 3) triples
-    a < b < c, in lexicographic order: the order of ``triangle_regions`` and
-    of ``itertools.combinations(range(n), 3)``."""
-    a, b, c = np.ogrid[:n, :n, :n]
-    return np.flatnonzero((a < b) & (b < c))
-
-
-def pentagons_from_completion(table: np.ndarray, n: int) -> int:
-    """The number of convex pentagons among n points, from their
-    completion table: for every triple a < b < c in ``sorted_triples``
-    order, the number of other points d that make {a, b, c, d} a tridot.
+def pentagons_from_completion(table: np.ndarray) -> int:
+    """The number of convex pentagons among n points, from their dense
+    (n, n, n) completion table: entry [a, b, c] of three distinct points is
+    the number of other points d that make {a, b, c, d} a tridot, the same
+    for every order of the triple, and entries with a repeated index are 0.
     d makes a tridot exactly when it lies inside the triangle or in one of
     its corner regions (then the corner's vertex lies inside the triangle of
     d and the other two), so an entry is interior + sum(beta) of its
@@ -229,27 +225,29 @@ def pentagons_from_completion(table: np.ndarray, n: int) -> int:
 
     A 5-subset has 0, 2 or 4 tridot 4-subsets (hull of 5, 4 or 3 points),
     and any two of its 4-subsets share a triple.  With Q the tridot
-    4-subsets, sum(table) = 4 * Q, sum C(table, 2) counts 5-subsets with
-    hull 4 once and with hull 3 six times, and Q * (n - 4) counts them twice
-    and four times, so 32 * pentagons = 32 * C(n, 5) + 4 * sum t(t - 1) -
-    5 * (n - 4) * sum(t).  Raises InconsistentCountsError when the division
-    is not exact, which no valid table allows.
+    4-subsets and t the entry of each unordered triple, sum t = 4 * Q,
+    sum C(t, 2) counts 5-subsets with hull 4 once and with hull 3 six
+    times, and Q * (n - 4) counts them twice and four times, so
+    32 * pentagons = 32 * C(n, 5) + 4 * sum t(t - 1) - 5 * (n - 4) * sum t.
+    The dense table holds each triple six times, so its sums T6 and P6 of t
+    and t(t - 1) are six times those: 192 * pentagons = 192 * C(n, 5) +
+    4 * P6 - 5 * (n - 4) * T6.  Raises InconsistentCountsError when the
+    division is not exact, which no valid table allows.
     """
-    total = int(table.sum())
-    pairs = int((table * (table - 1)).sum())
-    thirty_two = 32 * comb(n, 5) + 4 * pairs - 5 * (n - 4) * total
-    if thirty_two % 32:
+    n = table.shape[0]
+    flat = table.ravel()
+    t6 = int(flat.sum(dtype=np.int64))
+    p6 = int(np.einsum("i,i->", flat, flat, dtype=np.int64)) - t6
+    scaled = 192 * comb(n, 5) + 4 * p6 - 5 * (n - 4) * t6
+    if scaled % 192:
         raise InconsistentCountsError(
-            f"completion table gives {thirty_two}/32 pentagons, not an integer"
+            f"completion table gives {scaled}/192 pentagons, not an integer"
         )
-    return thirty_two // 32
+    return scaled // 192
 
 
 def pentagon_pair_delta(
-    signs3: np.ndarray,
-    pairs: np.ndarray,
-    triples: np.ndarray,
-    completion: np.ndarray,
+    signs3: np.ndarray, pairs: np.ndarray, completion: np.ndarray
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     """Change in the pentagon count when the moving point x goes from its
     current position to a candidate, with the statistics its update needs.
@@ -257,11 +255,11 @@ def pentagon_pair_delta(
     signs3 is the (n, n, n) orientation sign tensor of the current points,
     pairs the (2, n, n) signs or(p_a, p_b, x) at the candidate (row 0) and
     at the current position (row 1), 0 wherever a == b or a or b is x's own
-    index u; triples comes from ``sorted_triples(n)`` and completion is the
-    current completion table (see ``pentagons_from_completion``).  Returns
-    (delta, tri, te): tri is the (2, C(n, 3)) int8 indicator that a triple
-    of fixed points forms a tridot with x, and te the (2, n, n) int8 number
-    of such triples through each pair.
+    index u, and completion the current dense completion table (see
+    ``pentagons_from_completion``).  Returns (delta, t, te): t is the
+    (2, n, n, n) int8 indicator that a triple of fixed points forms a
+    tridot with x, and te the (2, n, n) int8 number of such triples through
+    each pair.
 
     Four points in general position form a tridot exactly when an odd
     number of the orientation signs of their four triangles is positive,
@@ -281,9 +279,14 @@ def pentagon_pair_delta(
     8 * delta = -5(m - 3) dN1 + 2 dN2 + 2 dN3, with N1 the tridot triples,
     N2 = sum over pairs of C(te, 2), and N3 the sum over tridot triples of
     the points of F that complete them to a tridot: completion minus the
-    triple's tridot with x's current position.  Raises
-    InconsistentCountsError when 8 * delta is not a multiple of 8, which a
-    correct completion table never gives.
+    triple's tridot with x's current position.  Every sum below runs over
+    ordered triples or pairs: y = sum te = 6 * N1, x - y = sum te(te - 1)
+    = 4 * N2, and c and both, over the dense t, are six times their
+    unordered sums, so 48 * delta = -5(n - 4)(y0 - y1) + 3((x0 - y0) -
+    (x1 - y1)) + 2(c0 - c1 - both + y1).  Raises InconsistentCountsError
+    when that is not a multiple of 48, which a correct, symmetric
+    completion table never gives.  c sums t * completion in int32, exact
+    since n**3 * (n - 3) < 2**31 for n <= 130.
     """
     n = signs3.shape[0]
     product = signs3 * pairs[:, :, :, None]
@@ -291,21 +294,17 @@ def pentagon_pair_delta(
     product *= pairs[:, None, :, :]
     t = (product < 0).view(np.int8)
     te = t.sum(axis=1, dtype=np.int8)
-    tri = t.reshape(2, -1).take(triples, axis=1)
     wide = te.reshape(2, -1).astype(np.int64)
     (y0, y1), (x0, x1) = wide.sum(axis=1).tolist(), np.einsum("ki,ki->k", wide, wide).tolist()
-    c0, c1 = (tri @ completion).tolist()
-    both = int(np.count_nonzero(tri[0] & tri[1]))
-    # N1 = y / 6 and N2 = (x - y) / 4, both exact: te counts each triple
-    # through each of its three pairs, in both orders
-    n1_0, n1_1 = y0 // 6, y1 // 6
-    eight = (
-        -5 * (n - 4) * (n1_0 - n1_1)
-        + ((x0 - y0) - (x1 - y1)) // 2
-        + 2 * (c0 - c1 - both + n1_1)
+    c0, c1 = (t * completion).reshape(2, -1).sum(axis=1, dtype=np.int32).tolist()
+    both = int(np.count_nonzero(t[0] & t[1]))
+    scaled = (
+        -5 * (n - 4) * (y0 - y1)
+        + 3 * ((x0 - y0) - (x1 - y1))
+        + 2 * (c0 - c1 - both + y1)
     )
-    if eight % 8:
+    if scaled % 48:
         raise InconsistentCountsError(
-            f"pentagon delta {eight}/8 is not an integer; the completion table is corrupt"
+            f"pentagon delta {scaled}/48 is not an integer; the completion table is corrupt"
         )
-    return eight // 8, tri, te
+    return scaled // 48, t, te

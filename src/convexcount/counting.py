@@ -369,7 +369,9 @@ def count5_from_regions(agg: AggregateSums) -> TypeCounts5:
 
 def delta_count5(placement: Placement, moved: int) -> TypeCounts5:
     """Type counts over exactly the C(n-1,4) five-subsets containing one
-    point.  Pure reference used by the incremental search machinery."""
+    point.  A pure-Python reference: the tests hold the annealer's kernel
+    delta (``_kernels.pentagon_pair_delta``) equal to its difference between
+    two positions of the point; no search code calls it."""
     n = placement.n
     if not 0 <= moved < n:
         raise ValueError(f"index {moved} out of range for n = {n}")

@@ -6,9 +6,10 @@ current position together, which triples of fixed points it completes to a
 tridot (a 4-subset with one point inside the triangle of the others).  An
 identity over those triples, their pair counts and a per-chain table of how
 many points complete each triple to a tridot gives the exact change in the
-pentagon count; the kernel checks that its division by 8 is exact.  An
-accepted move updates the table in O(n^3).  A chain holds O(n^3) bytes,
-which bound the size together with the kernel's int8 pair counts:
+pentagon count; the kernel checks that its division by 48 is exact.  The
+table is a dense int8 tensor in the layout of the orientation sign tensor,
+and an accepted move updates both the same way, in O(n^3).  A chain holds
+O(n^3) bytes, which bound the size together with the int8 entries:
 ``MAX_ANNEAL_N``.  Published exact minima act as tripwires: since 16-point
 placements always contain at least 112 pentagons and 18-point placements at
 least 252, any search result below those values proves a counting bug, so
@@ -20,6 +21,7 @@ divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import ceil, exp, pi, sqrt
 from typing import List, Optional, Tuple
 
@@ -50,11 +52,17 @@ GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 
 # Largest annealed size, the largest at which the kernel's int8 pair counts
-# (at most n - 3) cannot overflow.  A chain holds n**3 + 16 * C(n, 3) +
-# 2 * n**2 bytes, 8.0 MB at n=130, and an evaluation allocates about 15 MB
-# more; a 110-proposal n=130 run peaks at 76 MB RSS, 29 MB of it the
-# interpreter and numpy.
+# and the int8 completion entries (both at most n - 3) cannot overflow; the
+# kernel's int32 sum of tridot triples times completion entries is below
+# n**3 * (n - 3) < 2**31.  A chain holds 2 * n**3 + 2 * n**2 bytes, 4.4 MB
+# at n=130, and an evaluation allocates about 14 MB more.
 MAX_ANNEAL_N = 130
+
+# Annealing schedule: the starting temperature, its decay per proposal and
+# the share of moves drawn from the full box rather than near the point.
+INITIAL_TEMP = 3.0
+COOLING = 0.9999
+GLOBAL_MOVE_PROB = 0.5
 
 CONSISTENCY_OK = "ok"
 CONSISTENCY_VIOLATION = "violation"
@@ -188,28 +196,25 @@ class AnnealConfig:
     """Budget and schedule of the pentagon minimizer.
 
     Each restart runs `iterations` proposals from a fresh random placement;
-    temperature decays geometrically per proposal.  Moves resample one
-    point: with probability global_move_prob uniformly in the full box,
-    otherwise inside a local box of side 2*local_box+1 around the current
-    position (default bound // 8, at least 2).  Every recount_every accepted
-    moves the incrementally tracked count is recomputed from scratch and
-    must match exactly.  A target stops the search early once reached.
-    n must lie in [5, MAX_ANNEAL_N]: a chain holds the n**3 sign tensor and
-    two C(n,3) int64 arrays (8.0 MB at n=130), and the kernel's int8 pair
-    counts hold up to n=130.  Each proposal costs one O(n^3) kernel call for
-    the candidate and the current position together; an accepted move adds
-    an O(n^3) table update.
+    temperature starts at INITIAL_TEMP and decays by COOLING per proposal.
+    Moves resample one point: with probability GLOBAL_MOVE_PROB uniformly in
+    the full box of half-side coord_bound, otherwise inside a box of
+    half-side max(2, coord_bound // 8) around the current position.  Every
+    recount_every accepted moves (at least 1) the incrementally tracked
+    count and completion table are rebuilt from scratch and must match
+    exactly.  A target stops the search early once reached.  n must lie in
+    [5, MAX_ANNEAL_N]: a chain holds the n**3 sign tensor and the n**3
+    completion table (4.4 MB at n=130), and their int8 entries hold up to
+    n=130.  Each proposal costs one O(n^3) kernel call for the candidate
+    and the current position together; an accepted move adds an O(n^3)
+    table update.
     """
 
     n: int
     iterations: int = 60_000
     restarts: int = 4
     seed: int = 0
-    initial_temp: float = 3.0
-    cooling: float = 0.9999
     coord_bound: int = 10_000
-    global_move_prob: float = 0.5
-    local_box: Optional[int] = None
     recount_every: int = 5_000
     target: Optional[int] = None
 
@@ -222,12 +227,8 @@ class AnnealConfig:
             raise ValueError("iterations must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not self.initial_temp > 0:
-            raise ValueError("initial temperature must be positive")
-        if not 0 < self.cooling <= 1:
-            raise ValueError("cooling factor must lie in (0, 1]")
-        if not 0 <= self.global_move_prob <= 1:
-            raise ValueError("global_move_prob must lie in [0, 1]")
+        if self.recount_every < 1:
+            raise ValueError("recount_every must be at least 1")
         if not 3 <= self.coord_bound <= COORD_BOUND:
             raise ValueError(f"coord_bound must lie in [3, {COORD_BOUND}]")
 
@@ -253,18 +254,20 @@ class _Chain:
     """One annealing chain over a fixed-size placement.
 
     Maintains the full orientation sign tensor of the current points and
-    their completion table: for every sorted triple, the number of other
-    points that complete it to a tridot.  A proposal for point u makes one
-    ``_kernels.pentagon_pair_delta`` call over the candidate and the current
-    position together, which returns the exact delta.  An accepted move adds
-    the change in the triples' tridots with u to the table entries off u,
-    rewrites the C(n-1, 2) entries through u from the candidate's pair
-    counts, and rewrites three tensor slices.  A candidate is rejected when
-    its pair-sign matrix over the fixed points has a zero off the diagonal,
-    which covers both a collinear triple and a repeated point.  The chain
-    start and every recount read the pentagon count and the completion table
-    off one ``_kernels.triangle_regions`` pass and check them against each
-    other.
+    their completion table in the same dense (n, n, n) int8 layout: for
+    every triple, in every order, the number of other points that complete
+    it to a tridot, and 0 on repeated indices.  A proposal for point u makes
+    one ``_kernels.pentagon_pair_delta`` call over the candidate and the
+    current position together, which returns the exact delta.  An accepted
+    move adds the change in the triples' tridots with u to the table (0 on
+    the entries through u), then rewrites the table's three slices through
+    u with the candidate's pair counts, as it rewrites the sign tensor's
+    three slices with the candidate's pair signs.  A candidate is rejected
+    when its pair-sign matrix over the fixed points has a zero off the
+    diagonal, which covers both a collinear triple and a repeated point.
+    The chain start and every recount read the pentagon count and the
+    completion table off one ``_kernels.triangle_regions`` pass and check
+    them against each other.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -274,10 +277,8 @@ class _Chain:
         self.points: List[Point] = list(placement.points)
         self.coords = np.array(placement.coords, dtype=np.int64)
         self.signs = _kernels.full_sign_tensor(self.coords)
-        self.temp = cfg.initial_temp
-        self.local_box = cfg.local_box if cfg.local_box is not None else max(2, cfg.coord_bound // 8)
+        self.temp = INITIAL_TEMP
         self.accepted = 0
-        self._triples = _kernels.sorted_triples(self.n)
         # candidate (row 0) and current (row 1) pair signs of the moving point
         self._pairs = np.empty((2, self.n, self.n), dtype=np.int8)
         self.current, self.completion = self._recount()
@@ -285,17 +286,18 @@ class _Chain:
     def _recount(self) -> Tuple[int, np.ndarray]:
         """A from-scratch pentagon count and completion table from one
         triangle pass, checked against each other."""
-        entries = []
+        table = np.zeros(self.signs.shape, dtype=np.int8)
 
         def chunks():
             for chunk in _kernels.triangle_regions(self.coords):
-                _, _, interior, beta, _ = chunk[1]
-                entries.append(interior + beta.sum(axis=0))
+                i, (v2, v3, interior, beta, _) = chunk
+                entries = interior + beta.sum(axis=0)
+                for order in permutations((i, v2, v3)):
+                    table[order] = entries
                 yield chunk
 
         count = count5_from_regions(_aggregate(self.n, chunks())).pentagon
-        table = np.concatenate(entries)
-        from_table = _kernels.pentagons_from_completion(table, self.n)
+        from_table = _kernels.pentagons_from_completion(table)
         if from_table != count:
             raise InconsistentCountsError(
                 f"completion table gives {from_table} pentagons, the region "
@@ -305,12 +307,12 @@ class _Chain:
 
     def _propose_point(self, u: int) -> Point:
         bound = self.cfg.coord_bound
-        if self.rng.random() < self.cfg.global_move_prob:
+        if self.rng.random() < GLOBAL_MOVE_PROB:
             x = int(self.rng.integers(-bound, bound + 1))
             y = int(self.rng.integers(-bound, bound + 1))
         else:
             px, py = self.points[u]
-            d = self.local_box
+            d = max(2, bound // 8)
             x = min(bound, max(-bound, px + int(self.rng.integers(-d, d + 1))))
             y = min(bound, max(-bound, py + int(self.rng.integers(-d, d + 1))))
         return Point(x, y)
@@ -330,21 +332,14 @@ class _Chain:
         if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
             return
         pairs[1] = self.signs[:, :, u]
-        delta, tri, te = _kernels.pentagon_pair_delta(
-            self.signs, pairs, self._triples, self.completion
-        )
+        delta, t, te = _kernels.pentagon_pair_delta(self.signs, pairs, self.completion)
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return
-        self.completion += tri[0] - tri[1]
-        # the entries through u: the candidate's count of tridot triples per
-        # pair of fixed points (a, b), placed at the rank of sorted (u, a, b)
-        a, b = np.triu_indices(self.n - 1, 1)
-        a += a >= u
-        b += b >= u
-        through = np.sort((np.full_like(a, u), a, b), axis=0)
-        rows = np.searchsorted(self._triples, np.ravel_multi_index(through, self.signs.shape))
-        self.completion[rows] = te[0, a, b]
+        self.completion += t[0] - t[1]
+        self.completion[u, :, :] = te[0]
+        self.completion[:, u, :] = te[0]
+        self.completion[:, :, u] = te[0]
         self.signs[u, :, :] = pair_new
         self.signs[:, u, :] = -pair_new
         self.signs[:, :, u] = pair_new
@@ -369,7 +364,7 @@ class _Chain:
             )
 
     def cool(self) -> None:
-        self.temp *= self.cfg.cooling
+        self.temp *= COOLING
 
 
 def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -24,12 +24,15 @@ def random_disc(n: int, seed: int, bound: int = 1000) -> Placement:
 
 
 def completion_table(coords):
-    """The annealer's completion table read off the one triangle pass: per
-    sorted triple, the points inside the triangle or beyond a corner."""
-    return np.concatenate([
-        interior + beta.sum(axis=0)
-        for _, (_, _, interior, beta, _) in _kernels.triangle_regions(coords)
-    ])
+    """The annealer's dense completion table read off the one triangle pass:
+    for every triple, in every order, the points inside the triangle or
+    beyond a corner; 0 on repeated indices."""
+    n = coords.shape[0]
+    table = np.zeros((n, n, n), dtype=np.int8)
+    for i, (v2, v3, interior, beta, _) in _kernels.triangle_regions(coords):
+        for order in permutations((i, v2, v3)):
+            table[order] = interior + beta.sum(axis=0)
+    return table
 
 
 def point_in_triangle(p, a, b, c) -> bool:

@@ -186,15 +186,16 @@ def test_pentagons_from_completion_matches_naive():
     for p in (random_disc(9, seed=1), random_disc(12, seed=5), random_disc(16, seed=7),
               parabola(8), random_disc(10, seed=2, bound=COORD_BOUND)):
         table = completion_table(p.coords)
-        assert _kernels.pentagons_from_completion(table, p.n) == count5_naive(p).pentagon
+        assert _kernels.pentagons_from_completion(table) == count5_naive(p).pentagon
 
 
 def test_pentagons_from_completion_rejects_inexact_table():
     p = random_disc(11, seed=6)
     table = completion_table(p.coords)
     bad = table.copy()
-    bad[0] += 1
-    # one entry t -> t + 1 moves 32 * pentagons by 8t - 5(n - 4)
-    assert (8 * int(table[0]) - 5 * (p.n - 4)) % 32
+    bad[0, 1, 2] += 1
+    # one entry t -> t + 1, in one order of its triple only, moves
+    # 192 * pentagons by 8t - 5(n - 4)
+    assert (8 * int(table[0, 1, 2]) - 5 * (p.n - 4)) % 192
     with pytest.raises(InconsistentCountsError):
-        _kernels.pentagons_from_completion(bad, p.n)
+        _kernels.pentagons_from_completion(bad)

@@ -1,6 +1,5 @@
 import dataclasses
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -100,21 +99,21 @@ def test_generator_spec_validation():
 
 
 def _kernel_inputs(p, u, cand):
-    """(signs3, pairs, triples, completion) of the kernel for moving point u
-    of p to cand, all built fresh."""
+    """(signs3, pairs, completion) of the kernel for moving point u of p to
+    cand, all built fresh."""
     coords = np.array(p.coords, dtype=np.int64)
     signs = _kernels.full_sign_tensor(coords)
     pair_new = _kernels.pair_sign_matrix(coords, cand)
     pair_new[u, :] = 0
     pair_new[:, u] = 0
     pairs = np.stack((pair_new, signs[:, :, u]))
-    return signs, pairs, _kernels.sorted_triples(p.n), completion_table(coords)
+    return signs, pairs, completion_table(coords)
 
 
 def _kernel_delta(p, u, cand):
-    delta, tri, te = _kernels.pentagon_pair_delta(*_kernel_inputs(p, u, cand))
+    delta, t, te = _kernels.pentagon_pair_delta(*_kernel_inputs(p, u, cand))
     assert type(delta) is int
-    assert tri.shape == (2, comb(p.n, 3)) and tri.dtype == np.int8
+    assert t.shape == (2, p.n, p.n, p.n) and t.dtype == np.int8
     assert te.shape == (2, p.n, p.n)
     return delta
 
@@ -178,15 +177,15 @@ def test_pentagon_pair_delta_property(pts, cand, data):
 
 def test_pentagon_pair_delta_rejects_corrupt_completion():
     p = random_disc(9, seed=8, bound=100)
-    signs, pairs, triples, completion = _kernel_inputs(p, 4, (37, -61))
-    _, tri, _ = _kernels.pentagon_pair_delta(signs, pairs, triples, completion)
-    # one entry off by one, on a triple whose tridot with the moving point
-    # changes, moves 8 * delta by 2
-    changed = np.flatnonzero(tri[0] != tri[1])
+    signs, pairs, completion = _kernel_inputs(p, 4, (37, -61))
+    _, t, _ = _kernels.pentagon_pair_delta(signs, pairs, completion)
+    # one entry off by one, in one order of a triple whose tridot with the
+    # moving point changes, moves 48 * delta by 2
+    changed = np.argwhere(t[0] != t[1])
     assert changed.size
-    completion[changed[0]] += 1
+    completion[tuple(changed[0])] += 1
     with pytest.raises(InconsistentCountsError):
-        _kernels.pentagon_pair_delta(signs, pairs, triples, completion)
+        _kernels.pentagon_pair_delta(signs, pairs, completion)
 
 
 def test_pentagon_pair_delta_int8_bounds():
@@ -199,32 +198,29 @@ def test_pentagon_pair_delta_int8_bounds():
     assert prod.dtype == np.int8
     assert set(prod.tolist()) == {-1, 0, 1}
     assert not prod[(factors == 0).any(axis=0)].any()
-    # te counts at most n - 3 triples per pair, in the kernel's own dtype
-    _, _, te = _kernels.pentagon_pair_delta(*_kernel_inputs(random_disc(8, seed=1), 0, (3, 5)))
-    assert te.max() <= 8 - 3
+    # te and the completion entries count at most n - 3 points, in int8
+    signs, pairs, completion = _kernel_inputs(random_disc(8, seed=1), 0, (3, 5))
+    _, _, te = _kernels.pentagon_pair_delta(signs, pairs, completion)
+    assert te.max() <= 8 - 3 and completion.max() <= 8 - 3
     assert MAX_ANNEAL_N - 3 <= np.iinfo(te.dtype).max
+    assert MAX_ANNEAL_N - 3 <= np.iinfo(completion.dtype).max
+    # the int32 sum of indicator times completion entry over n**3 orders
+    assert MAX_ANNEAL_N**3 * (MAX_ANNEAL_N - 3) <= np.iinfo(np.int32).max
 
 
 def _chain_bytes(n):
-    # sign tensor, sorted-triple indices and completion table, pair buffer
-    return n**3 + 2 * 8 * comb(n, 3) + 2 * n * n
+    # sign tensor, completion table, pair buffer
+    return 2 * n**3 + 2 * n * n
 
 
 def test_chain_index_bytes():
     cfg = AnnealConfig(n=5, iterations=1, coord_bound=200)
     for n in (5, 9, 14):
         chain = _Chain(random_disc(n, seed=n, bound=200), np.random.default_rng(0), cfg)
-        held = (chain.signs, chain._triples, chain.completion, chain._pairs)
+        held = (chain.signs, chain.completion, chain._pairs)
         assert sum(a.nbytes for a in held) == _chain_bytes(n)
-    # the size limit's stated cost, 8.0 MB
-    assert _chain_bytes(MAX_ANNEAL_N) <= 8.0e6
-
-
-def test_sorted_triples_order():
-    n = 7
-    flat = _kernels.sorted_triples(n)
-    assert flat.dtype == np.intp
-    assert [np.unravel_index(i, (n, n, n)) for i in flat] == list(combinations(range(n), 3))
+    # the size limit's stated cost, 4.4 MB
+    assert _chain_bytes(MAX_ANNEAL_N) <= 4.5e6
 
 
 def test_sign_kernels_exact_at_coordinate_bound():
@@ -255,10 +251,8 @@ def test_anneal_config_validation():
         dict(n=4),
         dict(n=8, iterations=0),
         dict(n=8, restarts=0),
-        dict(n=8, initial_temp=0.0),
-        dict(n=8, cooling=0.0),
-        dict(n=8, cooling=1.5),
-        dict(n=8, global_move_prob=1.5),
+        dict(n=8, recount_every=0),
+        dict(n=8, recount_every=-1),
         dict(n=8, coord_bound=2),
         dict(n=MAX_ANNEAL_N + 1),
     ):
@@ -320,15 +314,22 @@ def test_completion_table_tracks_every_accepted_move(n):
         if chain.accepted == before:
             continue
         checked += 1
+        table = chain.completion
+        # the same in all six orders of a triple, 0 on every repeated index
+        for axes in permutations(range(3)):
+            assert np.array_equal(table, table.transpose(axes))
+        i = np.arange(n)
+        assert not (table[i, i, :].any() or table[i, :, i].any() or table[:, i, i].any())
         placement = Placement(tuple(chain.points))
         fresh = _Chain(placement, np.random.default_rng(0), cfg)
-        assert np.array_equal(chain.completion, fresh.completion)
+        assert np.array_equal(table, fresh.completion)
         assert fresh.current == chain.current
         if n <= 12:
             # the pure-Python oracle: inside the triangle or beyond a corner
-            for entry, (i, j, k) in zip(chain.completion, combinations(range(n), 3)):
-                counts = region_counts(placement, canonical_triangle(placement, i, j, k))
-                assert entry == counts.interior + counts.beta_total
+            for triple in combinations(range(n), 3):
+                counts = region_counts(placement, canonical_triangle(placement, *triple))
+                for order in permutations(triple):
+                    assert table[order] == counts.interior + counts.beta_total
     assert checked >= 3
 
 
@@ -354,8 +355,8 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
     chain = _Chain(start, np.random.default_rng(0), cfg)
     chain._verify_recount()
     # two completion entries off in opposite directions: the table's sum holds
-    chain.completion[0] += 1
-    chain.completion[1] -= 1
+    chain.completion[0, 1, 2] += 1
+    chain.completion[0, 1, 3] -= 1
     with pytest.raises(InconsistentCountsError):
         chain._verify_recount()
 
