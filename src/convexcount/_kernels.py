@@ -35,7 +35,13 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .geometry import CollinearError, InconsistentCountsError, direction_keys, row_blocks
+from .geometry import (
+    CollinearError,
+    InconsistentCountsError,
+    direction_keys,
+    pair_sign_matrix,
+    row_blocks,
+)
 
 
 def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,20 +180,6 @@ def reduce_regions(
     return tuple(int(s) for s in sums)
 
 
-def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:
-    """(n, n) int8 matrix of orientation signs or(p_a, p_b, q).
-
-    Entry [a, b] is the sign of (p_b - p_a) x (q - p_a); the diagonal is 0.
-    A zero off the diagonal means q is collinear with the pair (or equals
-    one of the points).
-    """
-    dx = coords[:, 0] - int(q[0])
-    dy = coords[:, 1] - int(q[1])
-    # (p_b - p_a) x (q - p_a) = (q - p_a) x (q - p_b) written in differences
-    cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
-    return np.sign(cross).astype(np.int8)
-
-
 def degenerate_with_pair(coords: np.ndarray, q: Tuple[int, int]) -> bool:
     """True when q is collinear with (or equal to) some pair of the points.
 
@@ -202,15 +194,16 @@ def full_sign_tensor(coords: np.ndarray) -> np.ndarray:
     """(n, n, n) int8 tensor of orientation signs or(p_i, p_j, p_k).
 
     Entries with repeated indices are 0; any other zero means the placement
-    is degenerate.  Memory is n**3 bytes, 2.2 MB at the largest search size,
-    n = 130.
+    is degenerate.  Row i is ``pair_sign_matrix(coords, p_i)``, since
+    or(p_i, p_j, p_k) = or(p_j, p_k, p_i), so memory is the n**3 bytes of
+    the result, 2.2 MB at the largest search size, n = 130, plus O(n**2)
+    temporaries.
     """
-    x = coords[:, 0]
-    y = coords[:, 1]
-    dx = x[None, :] - x[:, None]  # dx[i, j] = x_j - x_i
-    dy = y[None, :] - y[:, None]
-    cross = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
-    return np.sign(cross).astype(np.int8)
+    n = coords.shape[0]
+    signs = np.empty((n, n, n), dtype=np.int8)
+    for i in range(n):
+        signs[i] = pair_sign_matrix(coords, coords[i])
+    return signs
 
 
 def pentagons_from_completion(table: np.ndarray) -> int:

@@ -139,42 +139,15 @@ def classify_region(placement: Placement, tri: TriangleRef, x: int) -> RegionLab
     raise AssertionError("all-negative signs contradict the positive triangle area")
 
 
-def _sign_of(d: int, pts) -> int:
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    raise CollinearError(f"collinear triple among {pts}")
-
-
 def type4_of_points(a, b, c, d) -> Type4:
     """Hull type of four points given as coordinate pairs.
 
     Among the four orientation signs or(a,b,c), or(a,b,d), or(a,c,d),
     or(b,c,d), a point lies inside the triangle of the other three exactly
     when one sign differs from the rest (sign sum +-2); convex position
-    gives sums 0 or +-4.
+    gives sums 0 or +-4.  Raises CollinearError on a collinear triple.
     """
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    dx, dy = d
-    abx = bx - ax
-    aby = by - ay
-    acx = cx - ax
-    acy = cy - ay
-    adx = dx - ax
-    ady = dy - ay
-    o1 = abx * acy - aby * acx
-    o2 = abx * ady - aby * adx
-    o3 = acx * ady - acy * adx
-    o4 = (cx - bx) * (dy - by) - (cy - by) * (dx - bx)
-    s = (
-        _sign_of(o1, (a, b, c))
-        + _sign_of(o2, (a, b, d))
-        + _sign_of(o3, (a, c, d))
-        + _sign_of(o4, (b, c, d))
-    )
+    s = orientation(a, b, c) + orientation(a, b, d) + orientation(a, c, d) + orientation(b, c, d)
     return Type4.TRI_DOT if s in (2, -2) else Type4.CONVEX_QUAD
 
 

@@ -99,7 +99,7 @@ def orientation(a: PointLike, b: PointLike, c: PointLike) -> int:
     Raises CollinearError when the determinant is exactly zero; a zero is
     never rounded away or represented as a sign.
     """
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    d = cross(a, b, c)
     if d > 0:
         return CCW
     if d < 0:
@@ -180,6 +180,21 @@ def direction_keys(
     return order, np.take_along_axis(lower, order, axis=1), tie
 
 
+def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:
+    """(n, n) int8 matrix of orientation signs or(p_a, p_b, q).
+
+    Entry [a, b] is the sign of (p_b - p_a) x (q - p_a); the diagonal is 0.
+    A zero off the diagonal means q is collinear with the pair (or equals
+    one of the points).  Exact in int64 for coordinates within
+    ``COORD_BOUND``; the temporaries are O(n^2).
+    """
+    dx = coords[:, 0] - int(q[0])
+    dy = coords[:, 1] - int(q[1])
+    # (p_b - p_a) x (q - p_a) = (q - p_a) x (q - p_b) written in differences
+    cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
+    return np.sign(cross).astype(np.int8)
+
+
 def _first_duplicate(points) -> Optional[Duplicate]:
     """The first pair of equal points, in index order, or None.  Every
     coordinate up to that pair must be an int within ``COORD_BOUND``
@@ -206,13 +221,9 @@ def _first_collinear(coords: np.ndarray) -> Optional[Collinear]:
     n = len(coords)
     if n < 3 or not any(direction_keys(coords, rows)[2].any() for rows in row_blocks(n)):
         return None
-    # one vectorized pass per anchor point, exact in int64 since each
-    # product is below 4 * 10**14
-    x, y = coords[:, 0], coords[:, 1]
     for i in range(n - 2):
-        dx = x[i + 1 :] - x[i]
-        dy = y[i + 1 :] - y[i]
-        zero = np.triu(dx[:, None] * dy == dy[:, None] * dx, 1)
+        # the pairs (j, k), j < k, after i that are collinear with it
+        zero = np.triu(pair_sign_matrix(coords[i + 1 :], coords[i]) == 0, 1)
         if zero.any():
             # row-major order: smallest j first, then smallest k
             j, k = np.argwhere(zero)[0]

@@ -14,8 +14,8 @@ O(n^3) bytes, which bound the size together with the int8 entries:
 placements always contain at least 112 pentagons and 18-point placements at
 least 252, any search result below those values proves a counting bug, so
 the result carries a consistency flag and the periodic recounts, which
-rebuild the count and the table from one pass over the triangles, raise on
-divergence.
+rebuild the count and the table from one pass over the triangles and the
+sign tensor from its rows, raise on divergence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,14 @@ from .counting import (
     aggregate_regions,
     count5_from_regions,
 )
-from .geometry import COORD_BOUND, ConvexCountError, Placement, Point, ValidationError
+from .geometry import (
+    COORD_BOUND,
+    ConvexCountError,
+    Placement,
+    Point,
+    ValidationError,
+    cross,
+)
 
 
 class GenerationError(ConvexCountError):
@@ -55,7 +62,9 @@ KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 # and the int8 completion entries (both at most n - 3) cannot overflow; the
 # kernel's int32 sum of tridot triples times completion entries is below
 # n**3 * (n - 3) < 2**31.  A chain holds 2 * n**3 + 2 * n**2 bytes, 4.4 MB
-# at n=130, and an evaluation allocates about 14 MB more.
+# at n=130, and an evaluation allocates about 14 MB more; building the sign
+# tensor adds O(n**2).  `minimize --n 130` peaks at 54 MB RSS, about 30 MB of
+# it the interpreter and numpy.
 MAX_ANNEAL_N = 130
 
 # Annealing schedule: the starting temperature, its decay per proposal and
@@ -140,16 +149,7 @@ def _generate_convex(spec: GeneratorSpec) -> Placement:
         pts = [Point(int(x), int(y)) for x, y in zip(xs, ys)]
         if len(set(pts)) != n:
             continue
-        convex = True
-        for i in range(n):
-            a = pts[i]
-            b = pts[(i + 1) % n]
-            c = pts[(i + 2) % n]
-            det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-            if det <= 0:
-                convex = False
-                break
-        if convex:
+        if all(cross(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) > 0 for i in range(n)):
             return Placement(tuple(pts))
     raise ExhaustedRejectionError(
         f"no strictly convex rounded {n}-gon found within bound {radius}"
@@ -201,13 +201,13 @@ class AnnealConfig:
     the full box of half-side coord_bound, otherwise inside a box of
     half-side max(2, coord_bound // 8) around the current position.  Every
     recount_every accepted moves (at least 1) the incrementally tracked
-    count and completion table are rebuilt from scratch and must match
-    exactly.  A target stops the search early once reached.  n must lie in
-    [5, MAX_ANNEAL_N]: a chain holds the n**3 sign tensor and the n**3
-    completion table (4.4 MB at n=130), and their int8 entries hold up to
-    n=130.  Each proposal costs one O(n^3) kernel call for the candidate
-    and the current position together; an accepted move adds an O(n^3)
-    table update.
+    count, completion table and sign tensor are rebuilt from scratch and
+    must match exactly.  A target stops the search early once reached, also
+    by a chain start.  n must lie in [5, MAX_ANNEAL_N]: a chain holds the
+    n**3 sign tensor and the n**3 completion table (4.4 MB at n=130), and
+    their int8 entries hold up to n=130.  Each proposal costs one O(n^3)
+    kernel call for the candidate and the current position together; an
+    accepted move adds an O(n^3) table update.
     """
 
     n: int
@@ -267,7 +267,7 @@ class _Chain:
     diagonal, which covers both a collinear triple and a repeated point.
     The chain start and every recount read the pentagon count and the
     completion table off one ``_kernels.triangle_regions`` pass and check
-    them against each other.
+    them against each other; a recount also rebuilds the sign tensor.
     """
 
     def __init__(self, placement: Placement, rng: np.random.Generator, cfg: AnnealConfig):
@@ -362,6 +362,11 @@ class _Chain:
                 f"tracked completion table diverged from a rebuild after "
                 f"{self.accepted} accepted moves"
             )
+        if not np.array_equal(self.signs, _kernels.full_sign_tensor(self.coords)):
+            raise InconsistentCountsError(
+                f"tracked sign tensor diverged from a rebuild after "
+                f"{self.accepted} accepted moves"
+            )
 
     def cool(self) -> None:
         self.temp *= COOLING
@@ -393,7 +398,10 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
             best = chain.current
             best_points = tuple(chain.points)
             trace.append((r, 0, best))
+            done = cfg.target is not None and best <= cfg.target
         for it in range(cfg.iterations):
+            if done:
+                break
             chain.step()
             chain.cool()
             used += 1
@@ -403,9 +411,7 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
                 best = chain.current
                 best_points = tuple(chain.points)
                 trace.append((r, it + 1, best))
-                if cfg.target is not None and best <= cfg.target:
-                    done = True
-                    break
+                done = cfg.target is not None and best <= cfg.target
         restart_bests.append(restart_best)
         if done:
             break

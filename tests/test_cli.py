@@ -77,9 +77,9 @@ def test_gen_deterministic(tmp_path, capsys):
                      "--bound", "500", "-o", out]) == 0
     assert main(["gen", "--kind", "random", "--n", "9", "--seed", "5",
                  "--bound", "500", "-o", c]) == 0
-    text_a = open(a, encoding="ascii").read()
-    assert text_a == open(b, encoding="ascii").read()
-    assert text_a != open(c, encoding="ascii").read()
+    text_a = Path(a).read_text(encoding="ascii")
+    assert text_a == Path(b).read_text(encoding="ascii")
+    assert text_a != Path(c).read_text(encoding="ascii")
     capsys.readouterr()
 
 
@@ -206,7 +206,7 @@ def test_minimize_deterministic(tmp_path, capsys):
     for name in ("m1.txt", "m2.txt"):
         path = str(tmp_path / name)
         assert main(argv + ["-o", path]) == 0
-        outs.append(open(path, encoding="ascii").read())
+        outs.append(Path(path).read_text(encoding="ascii"))
         summary = capsys.readouterr().out
         assert "best_pentagons:" in summary
         assert "consistency: ok" in summary

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -223,27 +224,51 @@ def test_chain_index_bytes():
     assert _chain_bytes(MAX_ANNEAL_N) <= 4.5e6
 
 
+def _sign(p, q, r):
+    """The Python-int orientation, 0 for a repeated or collinear triple."""
+    return orientation(p, q, r) if cross(p, q, r) else 0
+
+
 def test_sign_kernels_exact_at_coordinate_bound():
     b = COORD_BOUND
     pts = [(-b, -b), (b, -b), (b, b), (-b, b), (b - 1, b), (-b, b - 1), (0, -b), (1, b)]
     coords = np.array(pts, dtype=np.int64)
-
-    def sign(p, q, r):
-        # the Python-int orientation, 0 for a repeated or collinear triple
-        return orientation(p, q, r) if cross(p, q, r) else 0
-
     signs = _kernels.full_sign_tensor(coords)
     for i, j, k in product(range(len(pts)), repeat=3):
-        assert signs[i, j, k] == sign(pts[i], pts[j], pts[k])
+        assert signs[i, j, k] == _sign(pts[i], pts[j], pts[k])
     for q in pts + [(0, 0), (b, 0), (-b, 1)]:
         pairs = _kernels.pair_sign_matrix(coords, q)
         for i, j in product(range(len(pts)), repeat=2):
-            assert pairs[i, j] == sign(pts[i], pts[j], q)
+            assert pairs[i, j] == _sign(pts[i], pts[j], q)
     # the corner triangles reach the largest cross product, (2 * bound)**2;
     # each of its two int64 products is at most that, so their difference
     # stays below 8 * 10**14 < 2**63
     assert max(abs(cross(p, q, r)) for p, q, r in product(pts, repeat=3)) == (2 * b) ** 2
     assert 2 * (2 * b) ** 2 == 8 * 10**14 < 2**63
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+def test_full_sign_tensor_matches_python_orientation(pts):
+    # repeated points and collinear triples are frequent in `coord`
+    signs = _kernels.full_sign_tensor(np.array(pts, dtype=np.int64))
+    assert signs.shape == (len(pts),) * 3 and signs.dtype == np.int8
+    for i, j, k in product(range(len(pts)), repeat=3):
+        assert signs[i, j, k] == _sign(pts[i], pts[j], pts[k])
+
+
+def test_full_sign_tensor_keeps_only_square_temporaries():
+    # the n**3 int8 result plus O(n**2) per row; one (n, n, n) int64
+    # temporary alone would be 8 * n**3 bytes
+    n = 40
+    coords = np.array(random_disc(n, seed=1).coords)
+    tracemalloc.start()
+    try:
+        _kernels.full_sign_tensor(coords)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n**3 + 64 * n**2
 
 
 def test_anneal_config_validation():
@@ -266,6 +291,13 @@ def test_minimize_is_deterministic():
     r2 = minimize_pentagons(cfg)
     assert r1 == r2
     assert isinstance(r1, SearchResult)
+
+
+def test_target_met_by_a_chain_start_stops_the_search():
+    res = minimize_pentagons(AnnealConfig(n=5, iterations=300, restarts=3, seed=0, target=0))
+    assert res.trace == ((0, 0, 0),)
+    assert res.iterations_used == 0
+    assert res.restart_bests == (0,)
 
 
 def test_minimize_reaches_zero_at_n8():
@@ -324,6 +356,7 @@ def test_completion_table_tracks_every_accepted_move(n):
         fresh = _Chain(placement, np.random.default_rng(0), cfg)
         assert np.array_equal(table, fresh.completion)
         assert fresh.current == chain.current
+        assert np.array_equal(chain.signs, fresh.signs)
         if n <= 12:
             # the pure-Python oracle: inside the triangle or beyond a corner
             for triple in combinations(range(n), 3):
@@ -358,6 +391,13 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
     chain.completion[0, 1, 2] += 1
     chain.completion[0, 1, 3] -= 1
     with pytest.raises(InconsistentCountsError):
+        chain._verify_recount()
+    chain.completion[0, 1, 2] -= 1
+    chain.completion[0, 1, 3] += 1
+    chain._verify_recount()
+    # one flipped sign, which the count and the table never read
+    chain.signs[0, 1, 2] *= -1
+    with pytest.raises(InconsistentCountsError, match="sign tensor"):
         chain._verify_recount()
 
     def off_by_one(agg):
