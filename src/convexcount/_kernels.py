@@ -6,11 +6,13 @@ Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
 IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^2 log n)
 work by sorting the directions around each point once, by the exact key of
 ``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
-and each key is rounded by at most 2**-54.  ``pivot_regions`` then yields
-all seven region counts of every triangle with a given smallest vertex in
-O(1) per triangle.  ``triangle_regions`` is the one pass over all C(n, 3)
-triangles, O(n^3) in all: the region sums, the region table and the
-annealer's completion table are all read off it.
+and each key is rounded by at most 2**-54.  ``pivot_regions`` then reads
+all seven region counts of a block of triangles with a given smallest
+vertex in O(1) per triangle, with one flat gather from each table.
+``triangle_regions`` is the one pass over all C(n, 3) triangles, O(n^3) in
+all, in chunks of at most BLOCK triangles, so its temporaries stay
+O(BLOCK) beside the O(n^2) tables: the region sums, the region table and
+the annealer's completion table are all read off it.
 
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
@@ -24,8 +26,8 @@ pentagons from it.
 
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
-headroom.  Region counts are below n, and callers accumulate across pivots
-in Python ints, which are unbounded.
+headroom.  Region counts are below n, flat table indices below n**2, and
+callers accumulate across chunks in Python ints, which are unbounded.
 """
 
 from __future__ import annotations
@@ -94,40 +96,60 @@ def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def pivot_regions(
-    coords: np.ndarray, ranks: np.ndarray, left: np.ndarray, i: int
+    coords: np.ndarray,
+    ranks: np.ndarray,
+    left: np.ndarray,
+    i: int,
+    v2: np.ndarray,
+    v3: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Region counts of every triangle whose smallest vertex is i.
+    """Region counts of the triangles (i, v2[r], v3[r]), for index arrays
+    v2 and v3 of points after the smallest vertex i.
 
-    Returns (v2, v3, interior, beta, gamma): the triangles are the canonical
-    (i, v2, v3), counterclockwise, in lexicographic order of their sorted
-    index triples; beta and gamma have shape (3, rows), with Beta(m) the
-    corner region beyond v_m and Gamma(m) the edge region across the edge
-    opposite v_m.  Around v_m, with next = v_{m+1} and prev = v_{m-1}
-    (cyclic), the wedge W_m = interior + gamma_m holds the points strictly
-    between the directions to next and prev, and the corner region is
+    Returns (v2, v3, interior, beta, gamma): each triangle with v2 and v3
+    swapped where needed to run counterclockwise, in the rows' order; beta
+    and gamma have shape (3, rows), with Beta(m) the corner region beyond
+    v_m and Gamma(m) the edge region across the edge opposite v_m.  Around
+    v_m, with next = v_{m+1} and prev = v_{m-1} (cyclic), the wedge
+    W_m = interior + gamma_m holds the points strictly between the
+    directions to next and prev, and the corner region is
     beta_m = left[v_m, prev] - left[v_m, next] + W_m + 1.  Since
     interior + sum(beta) + sum(gamma) = n - 3, the interior is
     (sum(W) + sum(beta) - (n - 3)) / 2 and gamma_m = W_m - interior.
+
+    Both tables are read by one ``np.take`` each at the flat indices
+    v * n + w of the six (corner, neighbour) pairs, which stay below n**2
+    in int64.  The raw wedge ranks[v, prev] - ranks[v, next] - 1 lies in
+    [-(n - 1), n - 3], so adding n - 1 where it is negative reduces it
+    modulo n - 1 exactly.  Temporaries are O(rows).
 
     Raises CollinearError on a zero determinant, an odd interior numerator
     or a negative count, none of which a valid placement can produce.
     """
     n = coords.shape[0]
-    jj, kk = np.triu_indices(n - 1 - i, k=1)
-    v2 = jj + (i + 1)
-    v3 = kk + (i + 1)
-    d = coords - coords[i]
-    det = d[v2, 0] * d[v3, 1] - d[v2, 1] * d[v3, 0]
+    x = coords[:, 0] - coords[i, 0]
+    y = coords[:, 1] - coords[i, 1]
+    det = np.take(x, v2) * np.take(y, v3) - np.take(y, v2) * np.take(x, v3)
     if (det == 0).any():
         raise CollinearError("collinear triangle encountered during aggregation")
     swap = det < 0
     v2, v3 = np.where(swap, v3, v2), np.where(swap, v2, v3)
 
-    corners = ((i, v2, v3), (v2, v3, i), (v3, i, v2))
-    wedge = np.stack(
-        [(ranks[v, prev] - ranks[v, nxt] - 1) % (n - 1) for v, nxt, prev in corners]
-    )
-    beta = np.stack([left[v, prev] - left[v, nxt] for v, nxt, prev in corners])
+    # rows 0-2: (v_m, prev) of the corners i, v2, v3; rows 3-5: (v_m, next)
+    flat = np.empty((6, v2.size), dtype=np.int64)
+    v2n = v2 * n
+    v3n = v3 * n
+    np.add(v3, i * n, out=flat[0])
+    np.add(v2n, i, out=flat[1])
+    np.add(v3n, v2, out=flat[2])
+    np.add(v2, i * n, out=flat[3])
+    np.add(v2n, v3, out=flat[4])
+    np.add(v3n, i, out=flat[5])
+    r = np.take(ranks, flat)
+    wedge = r[:3] - r[3:] - 1
+    wedge[wedge < 0] += n - 1
+    lt = np.take(left, flat)
+    beta = lt[:3] - lt[3:]
     beta += wedge + 1
     twice_interior = wedge.sum(axis=0) + beta.sum(axis=0) - (n - 3)
     if (twice_interior & 1).any():
@@ -143,24 +165,40 @@ def pivot_regions(
     return v2, v3, interior, beta, gamma
 
 
+# Triangles in one chunk of ``triangle_regions``.  A chunk's temporaries
+# peak at about 300 bytes a triangle (by tracemalloc), so near 2.4 MB
+# whatever n is.
+BLOCK = 1 << 13
+
+
 def triangle_regions(
     coords: np.ndarray,
 ) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
     """The one pass over all C(n, 3) triangles: (i, pivot_regions(coords,
-    ranks, left, i)) for every smallest vertex i in turn, so the triangles
-    come in lexicographic order of their sorted index triples.  The rank
-    tables are built once, when the first chunk is asked for; the pass
-    keeps no chunk between yields."""
+    ranks, left, i, v2, v3)) for every smallest vertex i in turn, over the
+    pairs v2 < v3 after i in lexicographic order, in slices of at most
+    BLOCK of them, so the triangles come in lexicographic order of their
+    sorted index triples.  The rank tables are built once, when the first
+    chunk is asked for; the pass keeps no chunk between yields, so memory
+    is the two (n, n) tables, one pivot's pair list and O(BLOCK)."""
+    n = coords.shape[0]
     ranks, left = rank_tables(coords)
-    for i in range(coords.shape[0] - 2):
-        yield i, pivot_regions(coords, ranks, left, i)
+    for i in range(n - 2):
+        v2, v3 = np.triu_indices(n - 1 - i, k=1)
+        v2 += i + 1
+        v3 += i + 1
+        for start in range(0, v2.size, BLOCK):
+            rows = slice(start, start + BLOCK)
+            yield i, pivot_regions(coords, ranks, left, i, v2[rows], v3[rows])
 
 
 def reduce_regions(
     interior: np.ndarray, beta: np.ndarray, gamma: np.ndarray
 ) -> Tuple[int, ...]:
     """The ten placement-wide sums of counting.AggregateSums, in its field
-    order, over one ``pivot_regions`` chunk, as Python ints."""
+    order, over one ``triangle_regions`` chunk, as Python ints.  Each sum is
+    taken in int64 over the chunk's at most BLOCK triangles (see
+    ``counting.aggregate_regions`` for the bound)."""
     b1, b2, b3 = beta
     g1, g2, g3 = gamma
     beta_t = b1 + b2 + b3
@@ -171,9 +209,9 @@ def reduce_regions(
         (beta_t * beta_t).sum(),
         (gamma_t * gamma_t).sum(),
         (beta_t * gamma_t).sum(),
-        (gamma * (gamma - 1) // 2).sum(),
+        (gamma * (gamma - 1) >> 1).sum(),
         (g1 * g2 + g1 * g3 + g2 * g3).sum(),
-        (beta * (beta - 1) // 2).sum(),
+        (beta * (beta - 1) >> 1).sum(),
         (b1 * b2 + b1 * b3 + b2 * b3).sum(),
         interior.sum(),
     )

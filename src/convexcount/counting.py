@@ -33,8 +33,9 @@ from .classification import (
 from .geometry import CollinearError, InconsistentCountsError, Placement
 
 
-# Largest n whose per-chunk int64 sums are exact: C(n-1, 2) * n**2 < 2**63
-# holds for n <= 65536 and fails at 65537.
+# Largest n whose per-chunk int64 sums are exact: a chunk of the triangle
+# pass holds at most min(BLOCK, C(n-1, 2)) triangles, and C(n-1, 2) * n**2
+# < 2**63 holds for n <= 65536 and fails at 65537, whatever BLOCK is.
 MAX_AGGREGATE_N = 65536
 
 
@@ -259,14 +260,14 @@ def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]
 def aggregate_regions(placement: Placement) -> AggregateSums:
     """Aggregate region counts over all C(n,3) canonical triangles.
 
-    Reads the triangles of one smallest vertex at a time off
-    ``_kernels.triangle_regions``, so memory stays O(n^2).  Each chunk is
-    reduced in int64: a chunk has at most C(n-1,2) triangles and every
-    per-triangle term is at most n^2, so its sums stay below
-    C(n-1,2) * n^2, which is below 2^63 exactly for n <= MAX_AGGREGATE_N
-    (65536); a larger n raises ValueError before any table is built.
-    Chunks are summed in Python ints.  Raises CollinearError on a placement
-    with a collinear triple.
+    Reads the triangles off ``_kernels.triangle_regions`` in chunks of at
+    most ``_kernels.BLOCK`` triangles of one smallest vertex, so memory
+    stays O(n^2).  Each chunk is reduced in int64: a chunk has at most
+    min(BLOCK, C(n-1,2)) triangles and every per-triangle term is at most
+    n^2, so its sums stay below C(n-1,2) * n^2, which is below 2^63 exactly
+    for n <= MAX_AGGREGATE_N (65536); a larger n raises ValueError before
+    any table is built.  Chunks are summed in Python ints.  Raises
+    CollinearError on a placement with a collinear triple.
     """
     n = placement.n
     if n < 3:

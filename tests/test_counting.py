@@ -2,6 +2,7 @@ import dataclasses
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from convexcount import _kernels
 from convexcount.counting import MAX_AGGREGATE_N
 from convexcount.geometry import find_violation
 
-from conftest import coord, parabola, random_disc
+from conftest import completion_table, coord, parabola, random_disc
 
 
 def test_count4_naive_examples(square_center, triangle_two_inside):
@@ -150,6 +151,64 @@ def test_aggregate_rejects_collinear_through_pivot(p):
         aggregate_regions(p)
     with pytest.raises(CollinearError):
         region_table(p)
+
+
+def region_outputs(p):
+    return aggregate_regions(p), region_table(p), completion_table(p.coords)
+
+
+def assert_block_split_matches(p):
+    want = region_outputs(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK", 3)
+        chunks = [v2.size for _, (v2, *_) in _kernels.triangle_regions(p.coords)]
+        assert max(chunks) <= 3 and len(chunks) > p.n - 2
+        got = region_outputs(p)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_block_split_matches_unsplit_pass():
+    for p in (random_disc(9, seed=2), random_disc(14, seed=8, bound=COORD_BOUND), parabola(7)):
+        assert_block_split_matches(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coord, coord), min_size=5, max_size=10, unique=True))
+def test_block_split_matches_unsplit_pass_on_tie_heavy_points(pts):
+    if find_violation(pts) is None:
+        assert_block_split_matches(Placement.from_points(pts))
+
+
+def test_collinear_triple_in_a_later_block_raises(monkeypatch):
+    # (20, 200) lies on the line y = 10x through points 0 and 10, and on no
+    # other chord of the parabola; the first triangle with two of the three,
+    # (0, 1, 10), comes after pivot 0's first blocks
+    p = Placement(tuple(Point(i, i * i) for i in range(11)) + (Point(20, 200),))
+    monkeypatch.setattr(_kernels, "BLOCK", 3)
+    chunks = _kernels.triangle_regions(p.coords)
+    assert next(chunks)[0] == 0
+    with pytest.raises(CollinearError):
+        list(chunks)
+    with pytest.raises(CollinearError):
+        aggregate_regions(p)
+    with pytest.raises(CollinearError):
+        region_table(p)
+
+
+@pytest.mark.parametrize("by, message", [(1, "lost a point"), (2, "negative region count")])
+def test_corrupt_rank_table_raises(monkeypatch, by, message):
+    rank_tables = _kernels.rank_tables
+
+    def corrupt(coords):
+        ranks, left = rank_tables(coords)
+        left[3, 7] += by
+        return ranks, left
+
+    monkeypatch.setattr(_kernels, "rank_tables", corrupt)
+    with pytest.raises(CollinearError, match=message):
+        aggregate_regions(random_disc(12, seed=3))
 
 
 def test_aggregate_rejects_n_beyond_int64_bound(monkeypatch):
