@@ -1,18 +1,17 @@
 """Vectorized numpy kernels for region aggregation and the annealer's
 incremental pentagon count.
 
-Region counts use exact angular ranks (the counting technique of Rote,
+Region counts use exact angular ranks around lowest-vertex pivots (Rote,
 Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
 IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^2 log n)
 work by sorting the directions around each point once, by the exact key of
 ``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
-and each key is rounded by at most 2**-54.  ``pivot_regions`` then reads
-all seven region counts of a block of triangles with a given smallest
-vertex in O(1) per triangle, with one flat gather from each table.
-``triangle_regions`` is the one pass over all C(n, 3) triangles, O(n^3) in
-all, in chunks of at most BLOCK triangles, so its temporaries stay
-O(BLOCK) beside the O(n^2) tables: the region sums, the region table and
-the annealer's completion table are all read off it.
+and each key is rounded by at most 2**-54.  ``triangle_regions`` is the one
+pass over all C(n, 3) triangles, O(n^3) in all, each taken at its lowest
+point; ``pivot_regions`` reads a block's seven region counts in O(1) per
+triangle, with four table entries each.  Memory is the two tables, a pair
+list and O(BLOCK): the region sums, the region table and the annealer's
+completion table are all read off the pass.
 
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
@@ -96,100 +95,101 @@ def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def pivot_regions(
-    coords: np.ndarray,
-    ranks: np.ndarray,
-    left: np.ndarray,
-    i: int,
-    v2: np.ndarray,
-    v3: np.ndarray,
+    ranks: np.ndarray, left: np.ndarray, i: int, s: np.ndarray, p: np.ndarray, q: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Region counts of the triangles (i, v2[r], v3[r]), for index arrays
-    v2 and v3 of points after the smallest vertex i.
+    """Region counts of the triangles (i, s[p], s[q]), for the points s
+    above the lowest vertex i in counterclockwise order around it and
+    position arrays p < q.
 
-    Returns (v2, v3, interior, beta, gamma): each triangle with v2 and v3
-    swapped where needed to run counterclockwise, in the rows' order; beta
-    and gamma have shape (3, rows), with Beta(m) the corner region beyond
-    v_m and Gamma(m) the edge region across the edge opposite v_m.  Around
-    v_m, with next = v_{m+1} and prev = v_{m-1} (cyclic), the wedge
+    Returns (v2, v3, interior, beta, gamma): v2 = s[p] and v3 = s[q], so
+    every triangle (i, v2, v3) runs counterclockwise; beta and gamma have
+    shape (3, rows), with Beta(m) the corner region beyond v_m and Gamma(m)
+    the edge region across the edge opposite v_m.  Around v_m, with
+    next = v_{m+1} and prev = v_{m-1} (cyclic), the wedge
     W_m = interior + gamma_m holds the points strictly between the
     directions to next and prev, and the corner region is
     beta_m = left[v_m, prev] - left[v_m, next] + W_m + 1.  Since
     interior + sum(beta) + sum(gamma) = n - 3, the interior is
     (sum(W) + sum(beta) - (n - 3)) / 2 and gamma_m = W_m - interior.
 
-    Both tables are read by one ``np.take`` each at the flat indices
-    v * n + w of the six (corner, neighbour) pairs, which stay below n**2
-    in int64.  The raw wedge ranks[v, prev] - ranks[v, next] - 1 lies in
-    [-(n - 1), n - 3], so adding n - 1 where it is negative reduces it
-    modulo n - 1 exactly.  Temporaries are O(rows).
+    Every point inside an angle below pi at i lies above i, so the pivot's
+    wedge is W_1 = q - p - 1 and its corner reads left[i, s].  The other
+    corners read their entries for i off ranks[s, i] and left[s, i], so the
+    only table gathers are [v2, v3] and [v3, v2], one ``np.take`` per table
+    at flat indices v * n + w below n**2.  A raw wedge ranks[v, prev] -
+    ranks[v, next] - 1 lies in [-(n - 1), n - 3], so adding n - 1 where it
+    is negative reduces it modulo n - 1 exactly.  Temporaries are O(rows).
 
-    Raises CollinearError on a zero determinant, an odd interior numerator
-    or a negative count, none of which a valid placement can produce.
+    Raises CollinearError on an odd interior numerator or a negative count,
+    neither of which a valid placement can produce.
     """
-    n = coords.shape[0]
-    x = coords[:, 0] - coords[i, 0]
-    y = coords[:, 1] - coords[i, 1]
-    det = np.take(x, v2) * np.take(y, v3) - np.take(y, v2) * np.take(x, v3)
-    if (det == 0).any():
-        raise CollinearError("collinear triangle encountered during aggregation")
-    swap = det < 0
-    v2, v3 = np.where(swap, v3, v2), np.where(swap, v2, v3)
-
-    # rows 0-2: (v_m, prev) of the corners i, v2, v3; rows 3-5: (v_m, next)
-    flat = np.empty((6, v2.size), dtype=np.int64)
-    v2n = v2 * n
-    v3n = v3 * n
-    np.add(v3, i * n, out=flat[0])
-    np.add(v2n, i, out=flat[1])
-    np.add(v3n, v2, out=flat[2])
-    np.add(v2, i * n, out=flat[3])
-    np.add(v2n, v3, out=flat[4])
-    np.add(v3n, i, out=flat[5])
+    n = ranks.shape[0]
+    # by position along s: the point, its rank and left count of i, left[i, point]
+    around = np.stack((s, ranks[s, i], left[s, i], left[i, s]))
+    v2, r2, l2, li2 = np.take(around, p, axis=1)
+    v3, r3, l3, li3 = np.take(around, q, axis=1)
+    flat = np.empty((2, p.size), dtype=np.int64)  # [v2, v3] and [v3, v2]
+    np.multiply(v2, n, out=flat[0])
+    flat[0] += v3
+    np.multiply(v3, n, out=flat[1])
+    flat[1] += v2
     r = np.take(ranks, flat)
-    wedge = r[:3] - r[3:] - 1
-    wedge[wedge < 0] += n - 1
     lt = np.take(left, flat)
-    beta = lt[:3] - lt[3:]
-    beta += wedge + 1
-    twice_interior = wedge.sum(axis=0) + beta.sum(axis=0) - (n - 3)
+    wedge = np.empty((3, p.size), dtype=np.int64)
+    np.subtract(q, p, out=wedge[0])
+    np.subtract(r2, r[0], out=wedge[1])
+    np.subtract(r[1], r3, out=wedge[2])
+    wedge -= 1
+    turn = wedge[1:]  # W_1 = q - p - 1 is never negative
+    turn += (turn >> 63) & (n - 1)
+    beta = np.empty_like(wedge)
+    np.subtract(li3, li2, out=beta[0])
+    np.subtract(l2, lt[0], out=beta[1])
+    np.subtract(lt[1], l3, out=beta[2])
+    beta += wedge
+    beta += 1
+    twice_interior = (wedge + beta).sum(axis=0)
+    twice_interior -= n - 3
     if (twice_interior & 1).any():
-        raise CollinearError(
-            "region partition lost a point; the placement has a collinear triple"
-        )
+        raise CollinearError("region partition lost a point; the placement has a collinear triple")
     interior = twice_interior >> 1
     gamma = wedge - interior
-    if (interior < 0).any() or (beta < 0).any() or (gamma < 0).any():
-        raise CollinearError(
-            "negative region count; the placement has a collinear triple"
-        )
+    if min(interior.min(), beta.min(), gamma.min()) < 0:
+        raise CollinearError("negative region count; the placement has a collinear triple")
     return v2, v3, interior, beta, gamma
 
 
-# Triangles in one chunk of ``triangle_regions``.  A chunk's temporaries
-# peak at about 300 bytes a triangle (by tracemalloc), so near 2.4 MB
-# whatever n is.
+# Triangles in one chunk of ``triangle_regions``.  A chunk's temporaries peak
+# at about 200 bytes a triangle (by tracemalloc), 1.6 MB whatever n is.
 BLOCK = 1 << 13
 
 
-def triangle_regions(
-    coords: np.ndarray,
-) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
-    """The one pass over all C(n, 3) triangles: (i, pivot_regions(coords,
-    ranks, left, i, v2, v3)) for every smallest vertex i in turn, over the
-    pairs v2 < v3 after i in lexicographic order, in slices of at most
-    BLOCK of them, so the triangles come in lexicographic order of their
-    sorted index triples.  The rank tables are built once, when the first
-    chunk is asked for; the pass keeps no chunk between yields, so memory
-    is the two (n, n) tables, one pivot's pair list and O(BLOCK)."""
+def triangle_regions(coords: np.ndarray) -> Iterator[Tuple[int, Tuple[np.ndarray, ...]]]:
+    """The one pass over all C(n, 3) triangles: (i, pivot_regions(ranks,
+    left, i, s, p, q)) for every lowest vertex i in turn, in slices of at
+    most BLOCK pairs p < q.  The pivots go in (y, x) order, so the m points
+    after i are its upper half-plane, which ranks[i, .] counts first: sorted
+    by it they form s, ranked 0 .. m - 1.  Two points on one ray from i
+    share a rank, and every collinear triple has two points on one ray from
+    its lowest, so an equal adjacent rank is the pass's collinearity test.
+    Pivot i reads the first C(m, 2) rows of one colex pair list (q major)
+    for n - 1 points.  The tables and the list are built when the first
+    chunk is asked for and no chunk is kept between yields, so memory is the
+    two (n, n) int64 tables, the 16 * C(n - 1, 2) bytes of the list and
+    O(BLOCK)."""
     n = coords.shape[0]
     ranks, left = rank_tables(coords)
-    for i in range(n - 2):
-        v2, v3 = np.triu_indices(n - 1 - i, k=1)
-        v2 += i + 1
-        v3 += i + 1
-        for start in range(0, v2.size, BLOCK):
-            rows = slice(start, start + BLOCK)
-            yield i, pivot_regions(coords, ranks, left, i, v2[rows], v3[rows])
+    pivots = np.lexsort((coords[:, 0], coords[:, 1]))
+    q_all, p_all = np.tril_indices(n - 1, -1)
+    for k in range(n - 2):
+        i = int(pivots[k])
+        s = pivots[k + 1 :][np.argsort(ranks[i, pivots[k + 1 :]])]
+        if (np.diff(ranks[i, s]) == 0).any():
+            raise CollinearError("two points on one ray from a third: a collinear triple")
+        pairs = comb(s.size, 2)
+        for start in range(0, pairs, BLOCK):
+            rows = slice(start, min(start + BLOCK, pairs))
+            yield i, pivot_regions(ranks, left, i, s, p_all[rows], q_all[rows])
 
 
 def reduce_regions(

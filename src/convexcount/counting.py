@@ -5,7 +5,7 @@ Two independent routes produce the same numbers:
 - the naive engines enumerate every C(n,4) / C(n,5) subset and classify it
   directly (pure Python, exact, the oracle);
 - the region engine reads the seven region counts of every triangle off two
-  exact angular-rank tables (O(n^3) work, vectorized per smallest vertex)
+  exact angular-rank tables (O(n^3) work, vectorized per lowest vertex)
   and derives all type counts from the aggregated region sums through exact
   double-counting identities, cross-checking itself four ways before
   returning.
@@ -33,9 +33,9 @@ from .classification import (
 from .geometry import CollinearError, InconsistentCountsError, Placement
 
 
-# Largest n whose per-chunk int64 sums are exact: a chunk of the triangle
-# pass holds at most min(BLOCK, C(n-1, 2)) triangles, and C(n-1, 2) * n**2
-# < 2**63 holds for n <= 65536 and fails at 65537, whatever BLOCK is.
+# Largest n whose per-chunk int64 sums are exact: a chunk holds at most
+# min(BLOCK, C(n-1, 2)) triangles of one lowest vertex, each term is at most
+# n**2, and C(n-1, 2) * n**2 < 2**63 holds for n <= 65536, not at 65537.
 MAX_AGGREGATE_N = 65536
 
 
@@ -243,9 +243,10 @@ def region_counts(placement: Placement, tri: TriangleRef) -> RegionCounts:
 
 
 def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]:
-    """Full per-triangle region table from the region engine's own pass,
-    for diagnostics; capped at n <= 60 because it materializes all C(n,3)
-    rows.  Rows run in lexicographic order of the sorted index triples."""
+    """Full per-triangle region table from the region engine's own pass, for
+    diagnostics; capped at n <= 60 because it materializes all C(n,3) rows.
+    Each triangle is rotated, with its slots, to lead with its smallest index
+    (still counterclockwise); rows run in lexicographic order of sorted triples."""
     if placement.n > 60:
         raise ValueError("region_table is a diagnostic aid, capped at n <= 60")
     table = []
@@ -253,7 +254,11 @@ def region_table(placement: Placement) -> List[Tuple[TriangleRef, RegionCounts]]
         for j, k, inner, b, g in zip(
             v2.tolist(), v3.tolist(), interior.tolist(), beta.T.tolist(), gamma.T.tolist()
         ):
-            table.append((TriangleRef(i, j, k), RegionCounts(inner, tuple(b), tuple(g))))
+            tri = (i, j, k)
+            r = tri.index(min(tri))
+            rc = RegionCounts(inner, tuple(b[r:] + b[:r]), tuple(g[r:] + g[:r]))
+            table.append((TriangleRef(*tri[r:], *tri[:r]), rc))
+    table.sort(key=lambda row: sorted(row[0].indices))
     return table
 
 
@@ -261,8 +266,9 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
     """Aggregate region counts over all C(n,3) canonical triangles.
 
     Reads the triangles off ``_kernels.triangle_regions`` in chunks of at
-    most ``_kernels.BLOCK`` triangles of one smallest vertex, so memory
-    stays O(n^2).  Each chunk is reduced in int64: a chunk has at most
+    most ``_kernels.BLOCK`` triangles of one lowest vertex, so memory is the
+    two (n, n) int64 rank tables, the pass's pair list of 16 * C(n-1, 2)
+    bytes and O(BLOCK).  Each chunk is reduced in int64: a chunk has at most
     min(BLOCK, C(n-1,2)) triangles and every per-triangle term is at most
     n^2, so its sums stay below C(n-1,2) * n^2, which is below 2^63 exactly
     for n <= MAX_AGGREGATE_N (65536); a larger n raises ValueError before

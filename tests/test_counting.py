@@ -11,6 +11,7 @@ from convexcount import (
     AggregateSums,
     COORD_BOUND,
     CollinearError,
+    GeneratorSpec,
     InconsistentCountsError,
     Placement,
     Point,
@@ -24,6 +25,7 @@ from convexcount import (
     count5_from_regions,
     count5_naive,
     delta_count5,
+    generate,
     region_counts,
     region_table,
     verify_identities,
@@ -182,19 +184,76 @@ def test_block_split_matches_unsplit_pass_on_tie_heavy_points(pts):
 
 
 def test_collinear_triple_in_a_later_block_raises(monkeypatch):
-    # (20, 200) lies on the line y = 10x through points 0 and 10, and on no
-    # other chord of the parabola; the first triangle with two of the three,
-    # (0, 1, 10), comes after pivot 0's first blocks
-    p = Placement(tuple(Point(i, i * i) for i in range(11)) + (Point(20, 200),))
+    # (-20, 58) lies on the line y = -3x - 2 through (-2, 4) and (-1, 1),
+    # points 3 and 4, and on no other chord of the parabola.  The triple's
+    # lowest point, 4, is the second pivot, after 5 at (0, 0), and all three
+    # lie at wide angles around 5, so pivot 5 yields 14 blocks before a
+    # triangle with two of them, the third on an edge's line, fails a check
+    p = Placement(tuple(Point(x, x * x) for x in range(-5, 6)) + (Point(-20, 58),))
     monkeypatch.setattr(_kernels, "BLOCK", 3)
     chunks = _kernels.triangle_regions(p.coords)
-    assert next(chunks)[0] == 0
+    assert next(chunks)[0] == 5
+    pivots = []
     with pytest.raises(CollinearError):
-        list(chunks)
+        pivots.extend(i for i, _ in chunks)
+    assert pivots == [5] * 13
     with pytest.raises(CollinearError):
         aggregate_regions(p)
     with pytest.raises(CollinearError):
         region_table(p)
+
+
+@pytest.mark.parametrize(
+    "line", [((7, 0), (0, 0), (3, 0)), ((0, 9), (0, 2), (0, 0)), ((4, 6), (0, 0), (2, 3))]
+)
+def test_ray_from_the_first_pivot_raises_before_any_block(line):
+    # (0, 0) is the lowest point, so the first pivot, and the other two
+    # points of the line lie on one ray from it and share their rank
+    p = Placement(line + ((5, 1), (-3, 4), (1, 9)))
+    with pytest.raises(CollinearError, match="one ray"):
+        next(_kernels.triangle_regions(p.coords))
+
+
+@st.composite
+def collinear_on_axis_line(draw, vertical):
+    """Three points on one horizontal or vertical line among others, in
+    random order: the triple's lowest point sees the other two along
+    (1, 0) or (0, 1)."""
+    c = draw(coord)
+    line = [(a, c) for a in draw(st.lists(coord, min_size=3, max_size=3, unique=True))]
+    if vertical:
+        line = [(y, x) for x, y in line]
+    others = draw(st.lists(st.tuples(coord, coord), max_size=5, unique=True))
+    pts = line + [q for q in others if q not in line]
+    return Placement(tuple(draw(st.permutations(pts))))
+
+
+@pytest.mark.parametrize("vertical", (False, True), ids=("horizontal", "vertical"))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_aggregate_rejects_collinear_on_axis_line(vertical, data):
+    p = data.draw(collinear_on_axis_line(vertical))
+    with pytest.raises(CollinearError):
+        aggregate_regions(p)
+    with pytest.raises(CollinearError):
+        region_table(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(coord, coord), min_size=3, max_size=10, unique=True), st.data())
+def test_aggregate_invariant_under_point_order(pts, data):
+    if find_violation(pts) is None:
+        shuffled = data.draw(st.permutations(pts))
+        assert aggregate_regions(Placement(tuple(shuffled))) == aggregate_regions(
+            Placement(tuple(pts))
+        )
+
+
+@pytest.mark.parametrize("kind", ("parabola", "random_disc", "convex", "grid_perturbed"))
+def test_aggregate_invariant_under_point_order_at_n40(kind):
+    p = generate(GeneratorSpec(kind, 40, seed=4, coord_bound=COORD_BOUND))
+    order = np.random.default_rng(4).permutation(p.n)
+    assert aggregate_regions(Placement(tuple(p.points[k] for k in order))) == aggregate_regions(p)
 
 
 @pytest.mark.parametrize("by, message", [(1, "lost a point"), (2, "negative region count")])
