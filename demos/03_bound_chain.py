@@ -12,6 +12,7 @@ from convexcount import (
     C5_LOWER_CONST,
     MU5_COEFF,
     GeneratorSpec,
+    aggregate_regions,
     bound_report,
     generate,
     supersaturation_bound,
@@ -20,7 +21,7 @@ from convexcount import (
 
 print("=== convex-position run (parabola points, every 5-subset a pentagon) ===")
 for n in (40, 80, 120):
-    rep = bound_report(generate(GeneratorSpec("parabola", n)))
+    rep = bound_report(aggregate_regions(generate(GeneratorSpec("parabola", n))))
     print(f"n={n:<4} pentagons={rep.pentagon:<10} x_p={float(rep.x_p):>10.2f} "
           f"mean_gamma={float(rep.mean_gamma):>6.1f}")
     print(f"      trackers: gamma_sums={rep.tracker_gamma_sums:.5f} "
@@ -29,7 +30,7 @@ for n in (40, 80, 120):
           f"x_p/rhs={rep.ratio_xp_rhs:.5f}  (all -> 1)")
 
 print("\n=== random placement: the bound holds with slack ===")
-rep = bound_report(generate(GeneratorSpec("random_disc", 60, seed=7)))
+rep = bound_report(aggregate_regions(generate(GeneratorSpec("random_disc", 60, seed=7))))
 print(f"n={rep.n} pentagons={rep.pentagon}")
 print(f"x_p              = {float(rep.x_p):.2f}")
 print(f"rhs_gamma        = {float(rep.rhs_gamma):.2f}   (quadratic predictor "

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
-from .geometry import CCW, CollinearError, Placement, orientation
+from .geometry import CCW, Placement, orientation
 
 
 @dataclass(frozen=True)
@@ -151,76 +152,17 @@ def type4_of_points(a, b, c, d) -> Type4:
     return Type4.TRI_DOT if s in (2, -2) else Type4.CONVEX_QUAD
 
 
-# Triples of {0..4} in lexicographic order; each row of _QUADS lists the
-# four triple positions contained in the 4-subset omitting point 4,3,2,1,0.
-_TRIPLES5 = (
-    (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4),
-    (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-)
-_QUADS = (
-    (0, 1, 3, 6),
-    (0, 2, 4, 7),
-    (1, 2, 5, 8),
-    (3, 4, 5, 9),
-    (6, 7, 8, 9),
-)
-
-
 def tridot_subsets5(p0, p1, p2, p3, p4) -> int:
     """Number of the five 4-subsets of five points whose type is TriDot.
 
     Always 0, 2 or 4 in general position: hull sizes 5, 4, 3 leave exactly
-    0, 2, 4 non-convex 4-subsets.
+    0, 2, 4 non-convex 4-subsets.  Raises CollinearError on a collinear
+    triple.
     """
-    x0, y0 = p0
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    u1x = x1 - x0
-    u1y = y1 - y0
-    u2x = x2 - x0
-    u2y = y2 - y0
-    u3x = x3 - x0
-    u3y = y3 - y0
-    u4x = x4 - x0
-    u4y = y4 - y0
-    v2x = x2 - x1
-    v2y = y2 - y1
-    v3x = x3 - x1
-    v3y = y3 - y1
-    v4x = x4 - x1
-    v4y = y4 - y1
-    w3x = x3 - x2
-    w3y = y3 - y2
-    w4x = x4 - x2
-    w4y = y4 - y2
-    dets = (
-        u1x * u2y - u1y * u2x,  # (0,1,2)
-        u1x * u3y - u1y * u3x,  # (0,1,3)
-        u1x * u4y - u1y * u4x,  # (0,1,4)
-        u2x * u3y - u2y * u3x,  # (0,2,3)
-        u2x * u4y - u2y * u4x,  # (0,2,4)
-        u3x * u4y - u3y * u4x,  # (0,3,4)
-        v2x * v3y - v2y * v3x,  # (1,2,3)
-        v2x * v4y - v2y * v4x,  # (1,2,4)
-        v3x * v4y - v3y * v4x,  # (1,3,4)
-        w3x * w4y - w3y * w4x,  # (2,3,4)
+    return sum(
+        type4_of_points(*quad) is Type4.TRI_DOT
+        for quad in combinations((p0, p1, p2, p3, p4), 4)
     )
-    signs = []
-    for d in dets:
-        if d > 0:
-            signs.append(1)
-        elif d < 0:
-            signs.append(-1)
-        else:
-            raise CollinearError(f"collinear triple among {(p0, p1, p2, p3, p4)}")
-    t = 0
-    for q0, q1, q2, q3 in _QUADS:
-        s = signs[q0] + signs[q1] + signs[q2] + signs[q3]
-        if s == 2 or s == -2:
-            t += 1
-    return t
 
 
 _TYPE5_BY_TRIDOTS = {0: Type5.PENTAGON, 2: Type5.FOUR_HULL, 4: Type5.THREE_HULL}

@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .counting import (
     InconsistentCountsError,
@@ -100,35 +100,17 @@ def _bound_type(text: str) -> int:
     return value
 
 
-def _frac(f: Fraction) -> dict:
-    return {"exact": str(f), "float": float(f)}
-
-
-def _opt_frac(f: Optional[Fraction]):
-    return None if f is None else _frac(f)
-
-
-def _counts4_json(t4: TypeCounts4) -> dict:
-    return {"quad": str(t4.quad), "tridot": str(t4.tridot)}
-
-
-def _counts5_json(t5: TypeCounts5) -> dict:
-    return {
-        "pentagon": str(t5.pentagon),
-        "four_hull": str(t5.four_hull),
-        "three_hull": str(t5.three_hull),
-    }
-
-
-def _stats_json(st) -> dict:
-    return {
-        "mean_beta": _frac(st.mean_beta),
-        "mean_gamma": _frac(st.mean_gamma),
-        "var_beta": _frac(st.var_beta),
-        "var_gamma": _frac(st.var_gamma),
-        "covariance": _frac(st.covariance),
-        "x_p": _frac(st.x_p),
-    }
+def _json(value):
+    """A result value as JSON, a dataclass field by field: ints (not bools)
+    become decimal strings, Fractions {"exact", "float"}; bools, floats and
+    None stay as they are."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return {"exact": str(value), "float": float(value)}
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 def _identities_json(report) -> dict:
@@ -145,27 +127,6 @@ def _identities_json(report) -> dict:
             }
             for c in report.checks
         ],
-    }
-
-
-def _bound_json(br) -> dict:
-    return {
-        "pentagon": str(br.pentagon),
-        "c5_estimate": _frac(br.c5_estimate),
-        "x_p": _frac(br.x_p),
-        "mean_gamma": _frac(br.mean_gamma),
-        "degenerate_gamma": br.degenerate_gamma,
-        "rhs_gamma": _opt_frac(br.rhs_gamma),
-        "rhs_const": br.rhs_const,
-        "amgm_ok": br.amgm_ok,
-        "ratio_xp_rhs": br.ratio_xp_rhs,
-        "tracker_gamma_sums": br.tracker_gamma_sums,
-        "tracker_gamma_stats": br.tracker_gamma_stats,
-        "tracker_beta_stats": br.tracker_beta_stats,
-        "slack_cov_bound": br.slack_cov_bound,
-        "mu5_lower_thm": br.mu5_lower_thm,
-        "c5_lower_const": br.c5_lower_const,
-        "mu5_coeff": br.mu5_coeff,
     }
 
 
@@ -188,20 +149,15 @@ def _render_fraction_text(obj: dict) -> str:
 
 def _render_text(report: dict) -> str:
     lines = [f"n: {report['n']}", f"engine: {report['engine']}"]
-    c4 = report["counts4"]
-    if c4 is not None:
-        lines.append(f"counts4: quad={c4['quad']} tridot={c4['tridot']}")
-    c5 = report["counts5"]
-    if c5 is not None:
-        lines.append(
-            "counts5: pentagon={pentagon} four_hull={four_hull} "
-            "three_hull={three_hull}".format(**c5)
-        )
+    for section in ("counts4", "counts5"):
+        if report[section] is not None:
+            counts = " ".join(f"{k}={v}" for k, v in report[section].items())
+            lines.append(f"{section}: {counts}")
     st = report["stats"]
     if st is not None:
         lines.append("stats:")
-        for key in ("mean_beta", "mean_gamma", "var_beta", "var_gamma", "covariance", "x_p"):
-            lines.append(f"  {key}: {_render_fraction_text(st[key])}")
+        for key, value in st.items():
+            lines.append(f"  {key}: {_render_fraction_text(value)}")
     ident = report["identities"]
     if ident is not None:
         lines.append(f"identities: all_pass={'yes' if ident['all_pass'] else 'NO'}")
@@ -215,21 +171,17 @@ def _render_text(report: dict) -> str:
     if br is not None:
         lines.append("bound:")
         lines.append(f"  pentagon: {br['pentagon']}")
-        lines.append(f"  c5_estimate: {_render_fraction_text(br['c5_estimate'])}")
-        lines.append(f"  x_p: {_render_fraction_text(br['x_p'])}")
-        lines.append(f"  mean_gamma: {_render_fraction_text(br['mean_gamma'])}")
+        for key in ("c5_estimate", "x_p", "mean_gamma"):
+            lines.append(f"  {key}: {_render_fraction_text(br[key])}")
         if br["degenerate_gamma"]:
             lines.append("  rhs_gamma: degenerate (mean_gamma = 0)")
         else:
             lines.append(f"  rhs_gamma: {_render_fraction_text(br['rhs_gamma'])}")
             lines.append(f"  amgm_ok: {br['amgm_ok']}")
             lines.append(f"  ratio_xp_rhs: {br['ratio_xp_rhs']}")
-        lines.append(f"  rhs_const: {br['rhs_const']}")
-        lines.append(f"  tracker_gamma_sums: {br['tracker_gamma_sums']}")
-        lines.append(f"  tracker_gamma_stats: {br['tracker_gamma_stats']}")
-        lines.append(f"  tracker_beta_stats: {br['tracker_beta_stats']}")
-        lines.append(f"  slack_cov_bound: {br['slack_cov_bound']}")
-        lines.append(f"  mu5_lower_thm: {br['mu5_lower_thm']}")
+        for key in ("rhs_const", "tracker_gamma_sums", "tracker_gamma_stats",
+                    "tracker_beta_stats", "slack_cov_bound", "mu5_lower_thm"):
+            lines.append(f"  {key}: {br[key]}")
         lines.append(f"  c5_lower_const: {br['c5_lower_const']:.12f}")
         lines.append(f"  mu5_coeff: {br['mu5_coeff']:.12e}")
     timings = report["timings"]
@@ -316,13 +268,14 @@ def cmd_request(args) -> int:
         report["identities"] = _identities_json(ident)
         code = EXIT_OK if ident.all_pass else EXIT_FAIL
     elif args.command == "bound":
-        report["bound"] = _bound_json(bound_report(placement, agg=agg, t5=t5))
+        report["bound"] = _json(bound_report(agg))
+        del report["bound"]["n"]  # already at the top level
     if args.command != "count":
         timings[args.command] = time.perf_counter() - t0
 
-    report["counts4"] = _counts4_json(t4)
-    report["counts5"] = _counts5_json(t5)
-    report["stats"] = _stats_json(stats(agg, t5))
+    report["counts4"] = _json(t4)
+    report["counts5"] = _json(t5)
+    report["stats"] = _json(stats(agg, t5))
     report["timings"] = {"parse": parse_time, **timings}
     _emit(report, args.format)
     return code

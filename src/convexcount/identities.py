@@ -17,14 +17,7 @@ from fractions import Fraction
 from math import comb, sqrt
 from typing import Optional, Tuple, Union
 
-from .counting import (
-    AggregateSums,
-    TypeCounts4,
-    TypeCounts5,
-    aggregate_regions,
-    count5_from_regions,
-)
-from .geometry import Placement
+from .counting import AggregateSums, TypeCounts4, TypeCounts5, count5_from_regions
 
 SQRT5 = sqrt(5.0)
 
@@ -195,23 +188,13 @@ def stats(agg: AggregateSums, t5: TypeCounts5) -> StatsSummary:
     return StatsSummary(mean_beta, mean_gamma, var_beta, var_gamma, covariance, x_p)
 
 
-def bound_report(
-    placement: Placement,
-    agg: Optional[AggregateSums] = None,
-    t5: Optional[TypeCounts5] = None,
-) -> BoundReport:
-    """Evaluate the pentagon lower-bound chain on one placement.
-
-    Precomputed aggregates/counts may be passed to avoid recomputation; they
-    must belong to the placement.
-    """
-    n = placement.n
+def bound_report(agg: AggregateSums) -> BoundReport:
+    """Evaluate the pentagon lower-bound chain on the placement whose
+    region sums are agg."""
+    n = agg.n
     if n < 5:
         raise ValueError(f"the bound chain needs n >= 5, got {n}")
-    if agg is None:
-        agg = aggregate_regions(placement)
-    if t5 is None:
-        t5 = count5_from_regions(agg)
+    t5 = count5_from_regions(agg)
     st = stats(agg, t5)
 
     pentagon = t5.pentagon

@@ -73,6 +73,10 @@ INITIAL_TEMP = 3.0
 COOLING = 0.9999
 GLOBAL_MOVE_PROB = 0.5
 
+# Every RECOUNT_EVERY accepted moves a chain rebuilds its count, completion
+# table and sign tensor from scratch; each must match the tracked one exactly.
+RECOUNT_EVERY = 5_000
+
 CONSISTENCY_OK = "ok"
 CONSISTENCY_VIOLATION = "violation"
 
@@ -200,14 +204,14 @@ class AnnealConfig:
     Moves resample one point: with probability GLOBAL_MOVE_PROB uniformly in
     the full box of half-side coord_bound, otherwise inside a box of
     half-side max(2, coord_bound // 8) around the current position.  Every
-    recount_every accepted moves (at least 1) the incrementally tracked
-    count, completion table and sign tensor are rebuilt from scratch and
-    must match exactly.  A target stops the search early once reached, also
-    by a chain start.  n must lie in [5, MAX_ANNEAL_N]: a chain holds the
-    n**3 sign tensor and the n**3 completion table (4.4 MB at n=130), and
-    their int8 entries hold up to n=130.  Each proposal costs one O(n^3)
-    kernel call for the candidate and the current position together; an
-    accepted move adds an O(n^3) table update.
+    RECOUNT_EVERY accepted moves the incrementally tracked count, completion
+    table and sign tensor are rebuilt from scratch and must match exactly.
+    A target stops the search early once reached, also by a chain start.
+    n must lie in [5, MAX_ANNEAL_N]: a chain holds the n**3 sign tensor and
+    the n**3 completion table (4.4 MB at n=130), and their int8 entries hold
+    up to n=130.  Each proposal costs one O(n^3) kernel call for the
+    candidate and the current position together; an accepted move adds an
+    O(n^3) table update.
     """
 
     n: int
@@ -215,7 +219,6 @@ class AnnealConfig:
     restarts: int = 4
     seed: int = 0
     coord_bound: int = 10_000
-    recount_every: int = 5_000
     target: Optional[int] = None
 
     def __post_init__(self):
@@ -227,8 +230,6 @@ class AnnealConfig:
             raise ValueError("iterations must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.recount_every < 1:
-            raise ValueError("recount_every must be at least 1")
         if not 3 <= self.coord_bound <= COORD_BOUND:
             raise ValueError(f"coord_bound must lie in [3, {COORD_BOUND}]")
 
@@ -347,7 +348,7 @@ class _Chain:
         self.points[u] = cand
         self.current += delta
         self.accepted += 1
-        if self.accepted % self.cfg.recount_every == 0:
+        if self.accepted % RECOUNT_EVERY == 0:
             self._verify_recount()
 
     def _verify_recount(self) -> None:

@@ -139,7 +139,7 @@ TRACKER_KEYS = (
 
 def test_c5_tracker_ratios_tighten_along_the_parabola_family():
     sizes = (40, 80, 120)
-    reports = {n: bound_report(parabola(n)) for n in sizes}
+    reports = {n: bound_report(aggregate_regions(parabola(n))) for n in sizes}
     for n in sizes:
         lo, hi = 1 - 15 / n, 1 + 15 / n
         for key in TRACKER_KEYS:
@@ -156,10 +156,10 @@ def test_c5_tracker_ratios_tighten_along_the_parabola_family():
 
 def test_c6_inequalities_hold_everywhere_with_exact_equality_cases(corpus):
     rows = corpus["random"] + corpus["parabola"]
-    for p, agg, t4n, t5n, _, t5r in rows:
+    for p, agg, t4n, t5n, _, _ in rows:
         e12 = verify_identities(agg, t4n, t5n)["E12"]
         assert e12.passed, f"covariance bound fails at n={p.n}"
-        rep = bound_report(p, agg=agg, t5=t5r)
+        rep = bound_report(agg)
         assert not rep.degenerate_gamma
         assert rep.amgm_ok is True, f"mean-edge lower bound fails at n={p.n}"
         assert float(rep.rhs_gamma) >= rep.rhs_const - 1e-9

@@ -1,17 +1,30 @@
 import argparse
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from convexcount import TypeCounts5, dumps_placement, load_placement
+from convexcount import Placement, TypeCounts5, dumps_placement, load_placement
 from convexcount import cli
 from convexcount.cli import main
 from convexcount.search import MAX_ANNEAL_N
 
-from conftest import parabola
+from conftest import parabola, random_disc
 
 SCHEMA_KEYS = {"n", "engine", "counts4", "counts5", "stats", "identities", "bound", "timings"}
+
+# Pinned count/verify/bound reports of two placements, in both formats.
+# Written by running this file as a script; every later change to the
+# report code must reproduce them byte for byte, timing values aside.
+REPORTS_FIXTURE = Path(__file__).with_name("data") / "cli_reports.json"
+REPORT_PLACEMENTS = {
+    "square_center": Placement.from_points([(0, 0), (6, 0), (6, 6), (0, 6), (3, 2)]),
+    "random_disc12": random_disc(12, seed=1),
+}
+REPORT_REQUESTS = (["count", "--engine", "auto"], ["verify"], ["bound"])
 
 
 def _write(tmp_path, name, text):
@@ -227,6 +240,43 @@ def test_minimize_target_stops_early(capsys):
     assert "best_pentagons: 0" in out
 
 
+def _report_outputs(path: str) -> dict:
+    """Every request of REPORT_REQUESTS on one placement file in both
+    formats, without timing values: a JSON report keeps the list of its
+    timings keys, a text report drops its timings line."""
+    outputs = {}
+    for request in REPORT_REQUESTS:
+        for fmt in ("json", "text"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main([request[0], path, *request[1:], "--format", fmt]) == 0
+            out = buf.getvalue()
+            if fmt == "json":
+                report = json.loads(out)
+                report["timings"] = list(report["timings"])
+                outputs[f"{request[0]} json"] = report
+            else:
+                outputs[f"{request[0]} text"] = "".join(
+                    line for line in out.splitlines(keepends=True)
+                    if not line.startswith("timings: ")
+                )
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PLACEMENTS))
+def test_reports_match_fixture(name, tmp_path):
+    expected = json.loads(REPORTS_FIXTURE.read_text(encoding="utf-8"))[name]
+    path = _write(tmp_path, f"{name}.txt", dumps_placement(REPORT_PLACEMENTS[name]))
+    actual = _report_outputs(path)
+    assert list(actual) == list(expected)
+    for key, want in expected.items():
+        if key.endswith(" json"):
+            # dumped, so that key order counts as well as values
+            assert json.dumps(actual[key], indent=2) == json.dumps(want, indent=2), key
+        else:
+            assert actual[key] == want, key
+
+
 def test_readme_lists_every_subcommand():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")
@@ -236,3 +286,14 @@ def test_readme_lists_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert listed == set(sub.choices)
+
+
+if __name__ == "__main__":
+    # Rewrite the report fixture from the code as it stands.
+    fixture = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, placement in sorted(REPORT_PLACEMENTS.items()):
+            path = _write(Path(tmp), f"{name}.txt", dumps_placement(placement))
+            fixture[name] = _report_outputs(path)
+    REPORTS_FIXTURE.parent.mkdir(exist_ok=True)
+    REPORTS_FIXTURE.write_text(json.dumps(fixture, indent=2) + "\n", encoding="utf-8")

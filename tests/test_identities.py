@@ -138,7 +138,7 @@ def test_constants():
 
 
 def test_bound_report_parabola20():
-    rep = bound_report(parabola(20))
+    rep = bound_report(aggregate_regions(parabola(20)))
     assert rep.n == 20
     assert rep.pentagon == comb(20, 5)
     assert rep.c5_estimate == 1
@@ -155,14 +155,14 @@ def test_bound_report_parabola20():
     assert isclose(rep.mu5_lower_thm, MU5_COEFF * 20**5, rel_tol=1e-12)
 
 
-def test_bound_report_reuses_precomputed(square_center):
+def test_bound_report_reads_n_and_counts_from_the_sums(square_center):
     agg = aggregate_regions(square_center)
-    t5 = count5_from_regions(agg)
-    rep1 = bound_report(square_center)
-    rep2 = bound_report(square_center, agg=agg, t5=t5)
-    assert rep1 == rep2
-    assert rep1.c5_estimate == Fraction(0)
-    assert rep1.amgm_ok is True
+    rep = bound_report(agg)
+    assert rep.n == agg.n == 5
+    assert rep.pentagon == count5_from_regions(agg).pentagon == 0
+    assert rep.c5_estimate == Fraction(0)
+    assert rep.mean_gamma == stats(agg, count5_from_regions(agg)).mean_gamma
+    assert rep.amgm_ok is True
 
 
 def test_bound_report_needs_five_points():
@@ -170,7 +170,7 @@ def test_bound_report_needs_five_points():
 
     p = convexcount.Placement.from_points([(0, 0), (6, 0), (0, 6), (1, 1)])
     with pytest.raises(ValueError):
-        bound_report(p)
+        bound_report(aggregate_regions(p))
 
 
 positive_fracs = st.fractions(

@@ -276,8 +276,6 @@ def test_anneal_config_validation():
         dict(n=4),
         dict(n=8, iterations=0),
         dict(n=8, restarts=0),
-        dict(n=8, recount_every=0),
-        dict(n=8, recount_every=-1),
         dict(n=8, coord_bound=2),
         dict(n=MAX_ANNEAL_N + 1),
     ):
@@ -326,17 +324,17 @@ def test_minimize_result_invariants():
 
 
 @pytest.mark.parametrize("n, iterations", [(7, 150), (30, 40)], ids=["n7", "n30"])
-def test_minimize_with_recount_every_accepted_move(n, iterations):
-    cfg = AnnealConfig(
-        n=n, iterations=iterations, restarts=1, seed=3, coord_bound=200, recount_every=1
-    )
+def test_minimize_with_recount_every_accepted_move(n, iterations, monkeypatch):
+    monkeypatch.setattr(search, "RECOUNT_EVERY", 1)
+    cfg = AnnealConfig(n=n, iterations=iterations, restarts=1, seed=3, coord_bound=200)
     res = minimize_pentagons(cfg)
     assert count5_naive(res.best_placement).pentagon == res.best_pentagons
 
 
 @pytest.mark.parametrize("n", [7, 12, 30], ids=["n7", "n12", "n30"])
-def test_completion_table_tracks_every_accepted_move(n):
-    cfg = AnnealConfig(n=n, iterations=1, seed=5, coord_bound=200, recount_every=1)
+def test_completion_table_tracks_every_accepted_move(n, monkeypatch):
+    monkeypatch.setattr(search, "RECOUNT_EVERY", 1)
+    cfg = AnnealConfig(n=n, iterations=1, seed=5, coord_bound=200)
     chain = _Chain(random_disc(n, seed=n, bound=200), np.random.default_rng(n), cfg)
     checked = 0
     for _ in range(60 if n == 30 else 300):
@@ -383,7 +381,7 @@ def test_chain_start_and_recount_make_one_pass(monkeypatch):
 
 
 def test_chain_rejects_inconsistent_incidences(monkeypatch):
-    cfg = AnnealConfig(n=9, iterations=1, seed=1, coord_bound=200, recount_every=1)
+    cfg = AnnealConfig(n=9, iterations=1, seed=1, coord_bound=200)
     start = random_disc(9, seed=2, bound=200)
     chain = _Chain(start, np.random.default_rng(0), cfg)
     chain._verify_recount()
