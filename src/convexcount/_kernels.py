@@ -6,12 +6,13 @@ Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
 IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^2 log n)
 work by sorting the directions around each point once, by the exact key of
 ``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
-and each key is rounded by at most 2**-54.  ``triangle_regions`` is the one
-pass over all C(n, 3) triangles, O(n^3) in all, each taken at its lowest
-point; ``pivot_regions`` reads a block's seven region counts in O(1) per
-triangle, with four table entries each.  Memory is the two tables, a pair
-list and O(BLOCK): the region sums, the region table and the annealer's
-completion table are all read off the pass.
+and each key is rounded by at most 2**-54, so a tie of two keys around a
+point is a collinear triple, which raises CollinearError.
+``triangle_regions`` is the one pass over all C(n, 3) triangles, O(n^3) in
+all, each taken at its lowest point; ``pivot_regions`` reads a block's seven
+region counts in O(1) per triangle, with four table entries each.  Memory is
+the two tables, a pair list and O(BLOCK): the region sums, the region table
+and the annealer's completion table are all read off the pass.
 
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
@@ -51,44 +52,39 @@ def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     ranks[v, a] is the counterclockwise rank of a among the n - 1 other
     points around v: the number of points whose direction from v comes
-    strictly before a's, starting from the direction (1, 0) and taking the
-    upper half-plane (dy > 0, or dy == 0 and dx > 0) first.  left[v, a] is
-    the number of points strictly left of the directed line v -> a.  Entries
-    [v, v] carry no meaning.  Points collinear with v on one side share a
-    rank; ``pivot_regions`` rejects every collinear triple.
+    before a's, starting from the direction (1, 0) and taking the upper
+    half-plane (dy > 0, or dy == 0 and dx > 0) first.  left[v, a] is the
+    number of points strictly left of the directed line v -> a.  Entries
+    [v, v] carry no meaning.
 
     Each row sorts its directions once by the exact key of
-    ``geometry.direction_keys``, which ignores the half, so a line through v
-    forms one run of equal keys.  With the cumulative counts of the upper
-    and the lower half along the sorted row, a's rank is the points of its
-    own half before its run, plus the whole upper half when a is lower, and
-    left[v, a] is the points of its own half after its run plus those of the
-    other half before it.  The key is exact under the coordinate bound:
-    distinct keys differ by at least 6 * 10**-16 and each is rounded by at
-    most 2**-54 (see ``direction_keys``).  Rows go in blocks of about
-    KEY_BLOCK elements, so the temporaries stay O(KEY_BLOCK) beside the two
-    tables.
+    ``geometry.direction_keys``, which ignores the half, so two keys tie
+    exactly when the two points lie on one line through v: a tie raises
+    CollinearError, and every row is a strict order.  With the counts of
+    the upper and the lower half before each position of the sorted row,
+    a's rank is the points of its own half before it, plus the whole upper
+    half when a is lower, and left[v, a] is the points of its own half
+    after it plus those of the other half before it.  The key is exact
+    under the coordinate bound: distinct keys differ by at least
+    6 * 10**-16 and each is rounded by at most 2**-54 (see
+    ``direction_keys``).  Rows go in blocks of about KEY_BLOCK elements, so
+    the temporaries stay O(KEY_BLOCK) beside the two tables.
     """
     n = coords.shape[0]
     ranks = np.empty((n, n), dtype=np.int64)
     left = np.empty((n, n), dtype=np.int64)
     for rows in row_blocks(n):
         order, lower, tie = direction_keys(coords, rows)
-        # (upper, lower) counts; the last column is v itself and counts in neither
+        if tie.any():
+            raise CollinearError("two points on one line through a third: a collinear triple")
+        # points of the upper and the lower half before each position; the
+        # last column is v itself, in neither half, so it holds the totals
         halves = np.stack((~lower, lower))
         halves[:, :, -1] = False
-        through = halves.cumsum(axis=2)
-        before = through - halves
-        total = through[:, :, -1:]
-        if tie.any():
-            # a run of equal keys (points on one line through v) takes the
-            # counts before its first element and through its last: the
-            # counts never fall along a row
-            before = np.maximum.accumulate(np.where(tie, 0, before), axis=2)
-            end = np.roll(~tie, -1, axis=1)
-            through = np.minimum.accumulate(np.where(end, through, n)[..., ::-1], axis=2)[..., ::-1]
-        rank = np.where(lower, total[0] + before[1], before[0])
-        beyond = np.where(lower, total[1] - through[1] + before[0], total[0] - through[0] + before[1])
+        above, below = halves.cumsum(axis=2) - halves
+        total_above, total_below = above[:, -1:], below[:, -1:]
+        rank = np.where(lower, total_above + below, above)
+        beyond = np.where(lower, total_below - below + above, total_above - above + below) - 1
         np.put_along_axis(ranks[rows], order, rank, axis=1)
         np.put_along_axis(left[rows], order, beyond, axis=1)
     return ranks, left
@@ -120,8 +116,9 @@ def pivot_regions(
     ranks[v, next] - 1 lies in [-(n - 1), n - 3], so adding n - 1 where it
     is negative reduces it modulo n - 1 exactly.  Temporaries are O(rows).
 
-    Raises CollinearError on an odd interior numerator or a negative count,
-    neither of which a valid placement can produce.
+    Raises InconsistentCountsError on an odd interior numerator or a
+    negative count: ``rank_tables`` refuses every collinear triple, so
+    either can only come from a corrupt table.
     """
     n = ranks.shape[0]
     # by position along s: the point, its rank and left count of i, left[i, point]
@@ -151,11 +148,11 @@ def pivot_regions(
     twice_interior = (wedge + beta).sum(axis=0)
     twice_interior -= n - 3
     if (twice_interior & 1).any():
-        raise CollinearError("region partition lost a point; the placement has a collinear triple")
+        raise InconsistentCountsError("region partition lost a point; the rank tables are corrupt")
     interior = twice_interior >> 1
     gamma = wedge - interior
     if min(interior.min(), beta.min(), gamma.min()) < 0:
-        raise CollinearError("negative region count; the placement has a collinear triple")
+        raise InconsistentCountsError("negative region count; the rank tables are corrupt")
     return v2, v3, interior, beta, gamma
 
 
@@ -169,14 +166,12 @@ def triangle_regions(coords: np.ndarray) -> Iterator[Tuple[int, Tuple[np.ndarray
     left, i, s, p, q)) for every lowest vertex i in turn, in slices of at
     most BLOCK pairs p < q.  The pivots go in (y, x) order, so the m points
     after i are its upper half-plane, which ranks[i, .] counts first: sorted
-    by it they form s, ranked 0 .. m - 1.  Two points on one ray from i
-    share a rank, and every collinear triple has two points on one ray from
-    its lowest, so an equal adjacent rank is the pass's collinearity test.
-    Pivot i reads the first C(m, 2) rows of one colex pair list (q major)
-    for n - 1 points.  The tables and the list are built when the first
-    chunk is asked for and no chunk is kept between yields, so memory is the
-    two (n, n) int64 tables, the 16 * C(n - 1, 2) bytes of the list and
-    O(BLOCK)."""
+    by it they form s, ranked 0 .. m - 1.  Pivot i reads the first C(m, 2)
+    rows of one colex pair list (q major) for n - 1 points.  The tables and
+    the list are built when the first chunk is asked for, so a collinear
+    triple raises CollinearError (from ``rank_tables``) before any chunk is
+    yielded.  No chunk is kept between yields, so memory is the two (n, n)
+    int64 tables, the 16 * C(n - 1, 2) bytes of the list and O(BLOCK)."""
     n = coords.shape[0]
     ranks, left = rank_tables(coords)
     pivots = np.lexsort((coords[:, 0], coords[:, 1]))
@@ -184,8 +179,6 @@ def triangle_regions(coords: np.ndarray) -> Iterator[Tuple[int, Tuple[np.ndarray
     for k in range(n - 2):
         i = int(pivots[k])
         s = pivots[k + 1 :][np.argsort(ranks[i, pivots[k + 1 :]])]
-        if (np.diff(ranks[i, s]) == 0).any():
-            raise CollinearError("two points on one ray from a third: a collinear triple")
         pairs = comb(s.size, 2)
         for start in range(0, pairs, BLOCK):
             rows = slice(start, min(start + BLOCK, pairs))

@@ -103,7 +103,6 @@ class AggregateSums:
     """
 
     n: int
-    triangles: int
     sum_beta: int
     sum_gamma: int
     sum_beta_sq: int
@@ -114,6 +113,11 @@ class AggregateSums:
     sum_beta_pair_binom: int
     sum_beta_cross: int
     sum_interior: int
+
+    @property
+    def triangles(self) -> int:
+        """C(n, 3), the number of triangles summed over."""
+        return comb(self.n, 3)
 
 
 # Indexed by the sum of four (1 + orientation sign) values: the signs sum to
@@ -292,7 +296,7 @@ def _aggregate(n: int, chunks) -> AggregateSums:
     for _, (_, _, interior, beta, gamma) in chunks:
         for idx, value in enumerate(_kernels.reduce_regions(interior, beta, gamma)):
             acc[idx] += value
-    return AggregateSums(n, comb(n, 3), *acc)
+    return AggregateSums(n, *acc)
 
 
 def count4_from_regions(agg: AggregateSums) -> TypeCounts4:

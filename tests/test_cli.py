@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from convexcount import Placement, TypeCounts5, dumps_placement, load_placement
-from convexcount import cli
+from convexcount import _kernels, cli
 from convexcount.cli import main
 from convexcount.search import MAX_ANNEAL_N
 
@@ -156,6 +156,20 @@ def test_count_engine_mismatch_exits_1(parabola7_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "count5_naive", lambda p: TypeCounts5(999, 0, 0))
     assert main(["count", parabola7_file, "--engine", "naive"]) == 1
     capsys.readouterr()
+
+
+def test_corrupt_rank_table_exits_1(parabola7_file, capsys, monkeypatch):
+    rank_tables = _kernels.rank_tables
+
+    def corrupt(coords):
+        ranks, left = rank_tables(coords)
+        left[3, 5] += 1
+        return ranks, left
+
+    monkeypatch.setattr(_kernels, "rank_tables", corrupt)
+    assert main(["count", parabola7_file, "--engine", "regions"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("inconsistency: ") and "lost a point" in err
 
 
 def test_count_naive_above_size_limit_exits_2(tmp_path, capsys, monkeypatch):

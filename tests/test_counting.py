@@ -148,7 +148,10 @@ def collinear_through_pivot(draw):
 @settings(max_examples=60, deadline=None)
 @given(collinear_through_pivot())
 def test_aggregate_rejects_collinear_through_pivot(p):
-    # the constructor skips the general-position scan
+    # the constructor skips the general-position scan; the rank tables
+    # refuse the triple before the pass yields a chunk
+    with pytest.raises(CollinearError):
+        next(_kernels.triangle_regions(p.coords))
     with pytest.raises(CollinearError):
         aggregate_regions(p)
     with pytest.raises(CollinearError):
@@ -183,34 +186,14 @@ def test_block_split_matches_unsplit_pass_on_tie_heavy_points(pts):
         assert_block_split_matches(Placement.from_points(pts))
 
 
-def test_collinear_triple_in_a_later_block_raises(monkeypatch):
-    # (-20, 58) lies on the line y = -3x - 2 through (-2, 4) and (-1, 1),
-    # points 3 and 4, and on no other chord of the parabola.  The triple's
-    # lowest point, 4, is the second pivot, after 5 at (0, 0), and all three
-    # lie at wide angles around 5, so pivot 5 yields 14 blocks before a
-    # triangle with two of them, the third on an edge's line, fails a check
-    p = Placement(tuple(Point(x, x * x) for x in range(-5, 6)) + (Point(-20, 58),))
-    monkeypatch.setattr(_kernels, "BLOCK", 3)
-    chunks = _kernels.triangle_regions(p.coords)
-    assert next(chunks)[0] == 5
-    pivots = []
-    with pytest.raises(CollinearError):
-        pivots.extend(i for i, _ in chunks)
-    assert pivots == [5] * 13
-    with pytest.raises(CollinearError):
-        aggregate_regions(p)
-    with pytest.raises(CollinearError):
-        region_table(p)
-
-
 @pytest.mark.parametrize(
     "line", [((7, 0), (0, 0), (3, 0)), ((0, 9), (0, 2), (0, 0)), ((4, 6), (0, 0), (2, 3))]
 )
 def test_ray_from_the_first_pivot_raises_before_any_block(line):
     # (0, 0) is the lowest point, so the first pivot, and the other two
-    # points of the line lie on one ray from it and share their rank
+    # points of the line lie on one ray from it
     p = Placement(line + ((5, 1), (-3, 4), (1, 9)))
-    with pytest.raises(CollinearError, match="one ray"):
+    with pytest.raises(CollinearError):
         next(_kernels.triangle_regions(p.coords))
 
 
@@ -233,6 +216,8 @@ def collinear_on_axis_line(draw, vertical):
 @given(data=st.data())
 def test_aggregate_rejects_collinear_on_axis_line(vertical, data):
     p = data.draw(collinear_on_axis_line(vertical))
+    with pytest.raises(CollinearError):
+        next(_kernels.triangle_regions(p.coords))
     with pytest.raises(CollinearError):
         aggregate_regions(p)
     with pytest.raises(CollinearError):
@@ -266,7 +251,7 @@ def test_corrupt_rank_table_raises(monkeypatch, by, message):
         return ranks, left
 
     monkeypatch.setattr(_kernels, "rank_tables", corrupt)
-    with pytest.raises(CollinearError, match=message):
+    with pytest.raises(InconsistentCountsError, match=message):
         aggregate_regions(random_disc(12, seed=3))
 
 

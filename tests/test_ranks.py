@@ -56,45 +56,75 @@ def assert_tables_match(pts):
 
 
 distinct_points = st.lists(st.tuples(coord, coord), min_size=3, max_size=14, unique=True)
+tie_heavy_sets = st.one_of(
+    distinct_points,
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+             min_size=3, max_size=12, unique=True),
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(distinct_points)
+@given(distinct_points.filter(lambda pts: find_violation(pts) is None))
 def test_rank_tables_match_reference_on_tie_heavy_sets(pts):
+    # general-position draws that still share many x or y values
     assert_tables_match(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_sets)
+def test_rank_tables_raise_exactly_on_collinear_triples(pts):
+    coords = np.array(pts, dtype=np.int64)
+    if isinstance(find_violation(pts), Collinear):
+        with pytest.raises(CollinearError):
+            _kernels.rank_tables(coords)
+    else:
+        _kernels.rank_tables(coords)
 
 
 def test_rank_tables_match_reference_at_coordinate_bound():
     b = COORD_BOUND
-    # directions between opposite corners reach |dx| = |dy| = 2 * 10**7, so
-    # a ratio's denominator reaches 4 * 10**7.  Around (-b, -b), the points
-    # (b, b - 1) and (b - 1, b - 2) have ratios m / (2m + 1) and
-    # (m - 1) / (2m - 1) with m = 2 * 10**7 - 1, the smallest gap the key
-    # must resolve, about 6.25 * 10**-16.  Around (b, b) the same pair,
-    # mirrored, lies in the lower half, and around (b, -b) the pair
-    # (-b + 1, b), (-b + 2, b - 1) lies in the second quadrant.  Around
-    # (b, -b), the last two points have distinct ratios whose sums with 4
-    # round to one double.
-    pts = [(-b, -b), (b, -b), (b, b), (-b, b), (b - 1, b), (b, b - 1), (b - 1, b - 2),
-           (-b + 1, -b + 2), (-b, -b + 1), (-b + 1, b), (-b + 2, b - 1), (0, -b), (0, 0),
+    # directions between opposite corners reach |dx|, |dy| ~ 2 * 10**7, so a
+    # ratio's denominator reaches 4 * 10**7.  Around (-b, -b), the points
+    # (b - 1, b - 2) and (b - 2, b - 3) have ratios (m - 1) / (2m - 1) and
+    # (m - 2) / (2m - 3) with m = 2 * 10**7 - 1, about 6.25 * 10**-16
+    # apart, near the smallest gap the key must resolve.  Around (b, b) the
+    # same pair, mirrored, lies in the lower half, and around (b, -b) the
+    # pair (-b + 1, b - 2), (-b + 2, b - 3) lies in the second quadrant.
+    # Around (b, -b), the last two points have distinct ratios whose sums
+    # with 4 round to one double.  Each pair sits off the corners' lines, so
+    # the set is in general position.
+    pts = [(-b, -b), (b, -b), (b, b), (-b, b), (b - 1, b - 2), (b - 2, b - 3),
+           (-b + 1, -b + 2), (-b + 2, -b + 3), (-b + 1, b - 2), (-b + 2, b - 3),
            (-b + 28, b - 27), (-b + 27, b - 26)]
+    assert find_violation(pts) is None
     # both index orders: a key that rounded the pair together would keep
     # them in index order, right in one order and wrong in the other
     assert_tables_match(pts)
     assert_tables_match(pts[::-1])
-    assert_tables_match([(x, y) for x in (-b, -b + 1, 0, b - 1, b) for y in (-b, 1, b)])
+
+
+def test_rank_tables_reject_grid_at_coordinate_bound():
+    b = COORD_BOUND
+    grid = [(x, y) for x in (-b, -b + 1, 0, b - 1, b) for y in (-b, 1, b)]
+    with pytest.raises(CollinearError):
+        _kernels.rank_tables(np.array(grid, dtype=np.int64))
 
 
 def test_rank_tables_match_reference_on_lines_through_a_point():
-    # points collinear with v = (5, -3) on both sides of it, in every
-    # quadrant and on both axes, among generic points
+    # one point on each of five lines through v = (5, -3), both axes among
+    # them, on either side of v, among generic points; a second point on any
+    # of the lines, on either side, is refused
     v = (5, -3)
-    pts = [v]
-    for dx, dy in ((3, 5), (-2, 7), (1, 0), (0, 1), (4, -1)):
-        pts += [(v[0] + k * dx, v[1] + k * dy) for k in (-2, 1, 3)]
+    lines = ((3, 5), (-2, 7), (1, 0), (0, 1), (4, -1))
+    pts = [v] + [(v[0] + k * dx, v[1] + k * dy) for k, (dx, dy) in zip((1, -2, 3, -1, 2), lines)]
     pts += [(11, 40), (-17, 2), (23, -29)]
+    assert find_violation(pts) is None
     assert_tables_match(pts)
     assert_tables_match(pts[::-1])
+    for dx, dy in lines:
+        for k in (-3, 4):
+            with pytest.raises(CollinearError):
+                _kernels.rank_tables(np.array(pts + [(v[0] + k * dx, v[1] + k * dy)]))
 
 
 def test_rank_tables_match_reference_across_row_blocks(monkeypatch):
@@ -125,11 +155,7 @@ def first_collinear_by_loop(pts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(
-    distinct_points,
-    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-             min_size=3, max_size=12, unique=True),
-))
+@given(tie_heavy_sets)
 def test_find_violation_matches_loop_on_tie_heavy_sets(pts):
     assert find_violation(pts) == first_collinear_by_loop(pts)
 
@@ -141,6 +167,18 @@ def test_find_violation_across_row_blocks(monkeypatch):
     # (3, 7) lies on the line y = 3x - 2 through (1, 1) and (2, 4)
     pts.append((3, 7))
     assert find_violation(pts) == first_collinear_by_loop(pts) == Collinear(1, 2, 20)
+
+
+def test_rank_tables_raise_on_a_tie_in_the_last_row_blocks(monkeypatch):
+    # a collinear triple ties in the rows of its three points only, so with
+    # one row a block and the triple last, every earlier block is clean
+    monkeypatch.setattr(geometry, "KEY_BLOCK", 5)
+    pts = [(i, i * i) for i in range(18)] + [(30, 1), (31, 3), (32, 5)]
+    tied = [rows for rows in geometry.row_blocks(len(pts))
+            if geometry.direction_keys(np.array(pts), rows)[2].any()]
+    assert tied == [slice(18, 19), slice(19, 20), slice(20, 21)]
+    with pytest.raises(CollinearError):
+        _kernels.rank_tables(np.array(pts, dtype=np.int64))
 
 
 naive_points = st.lists(st.tuples(coord, coord), min_size=5, max_size=8, unique=True)
