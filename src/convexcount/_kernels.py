@@ -26,8 +26,12 @@ pentagons from it.
 
 Exactness: coordinates are bounded by 10**7, so every cross product of two
 point differences has magnitude at most 8 * 10**14 and fits int64 with
-headroom.  Region counts are below n, flat table indices below n**2, and
-callers accumulate across chunks in Python ints, which are unbounded.
+headroom.  Region counts are below n and flat table indices below n**2.
+``reduce_regions`` sums a chunk by three plain sums and five int64 dot
+products; a chunk has at most min(BLOCK, C(n - 1, 2)) rows and each row adds
+below n**2 to a dot product, so they are exact for n <=
+counting.MAX_AGGREGATE_N, and callers accumulate across chunks in Python
+ints, which are unbounded.
 """
 
 from __future__ import annotations
@@ -189,26 +193,33 @@ def reduce_regions(
     interior: np.ndarray, beta: np.ndarray, gamma: np.ndarray
 ) -> Tuple[int, ...]:
     """The ten placement-wide sums of counting.AggregateSums, in its field
-    order, over one ``triangle_regions`` chunk, as Python ints.  Each sum is
-    taken in int64 over the chunk's at most BLOCK triangles (see
-    ``counting.aggregate_regions`` for the bound)."""
+    order, over one ``triangle_regions`` chunk, as Python ints.
+
+    Per slot, C(g, 2) = (g**2 - g) / 2, and per triangle the cross products
+    g_1 g_2 + g_1 g_3 + g_2 g_3 = (gamma_T**2 - sum_m g_m**2) / 2, and the
+    same for beta.  So three plain sums and five int64 dot products give
+    every sum: beta_T and gamma_T with themselves and each other, and the
+    flat (3 * rows) slot arrays of beta and of gamma with themselves.
+
+    Each dot product is exact in int64: a chunk has at most
+    min(BLOCK, C(n - 1, 2)) rows, and a row adds at most (n - 3)**2 < n**2
+    to any of them (sum_m b_m**2 <= beta_T**2, and beta_T + gamma_T <=
+    n - 3), so every sum stays below C(n - 1, 2) * n**2 < 2**63 for
+    n <= counting.MAX_AGGREGATE_N.
+    """
     b1, b2, b3 = beta
     g1, g2, g3 = gamma
     beta_t = b1 + b2 + b3
     gamma_t = g1 + g2 + g3
-    sums = (
-        beta_t.sum(),
-        gamma_t.sum(),
-        (beta_t * beta_t).sum(),
-        (gamma_t * gamma_t).sum(),
-        (beta_t * gamma_t).sum(),
-        (gamma * (gamma - 1) >> 1).sum(),
-        (g1 * g2 + g1 * g3 + g2 * g3).sum(),
-        (beta * (beta - 1) >> 1).sum(),
-        (b1 * b2 + b1 * b3 + b2 * b3).sum(),
-        interior.sum(),
+    b, g = beta.ravel(), gamma.ravel()
+    sb, sg, si = int(beta_t.sum()), int(gamma_t.sum()), int(interior.sum())
+    bb, gg = int(b @ b), int(g @ g)
+    bt2, gt2, btgt = int(beta_t @ beta_t), int(gamma_t @ gamma_t), int(beta_t @ gamma_t)
+    return (
+        sb, sg, bt2, gt2, btgt,
+        (gg - sg) >> 1, (gt2 - gg) >> 1, (bb - sb) >> 1, (bt2 - bb) >> 1,
+        si,
     )
-    return tuple(int(s) for s in sums)
 
 
 def degenerate_with_pair(coords: np.ndarray, q: Tuple[int, int]) -> bool:

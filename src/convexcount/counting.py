@@ -18,7 +18,6 @@ theorems, so a mismatch always means a bug or corrupted input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterator, List, Tuple
 
@@ -28,14 +27,14 @@ from .classification import (
     TriangleRef,
     Type5,
     classify_region,
-    tridot_subsets5,
 )
 from .geometry import CollinearError, InconsistentCountsError, Placement
 
 
-# Largest n whose per-chunk int64 sums are exact: a chunk holds at most
-# min(BLOCK, C(n-1, 2)) triangles of one lowest vertex, each term is at most
-# n**2, and C(n-1, 2) * n**2 < 2**63 holds for n <= 65536, not at 65537.
+# Largest n whose per-chunk int64 dot products are exact: a chunk holds at
+# most min(BLOCK, C(n-1, 2)) triangles of one lowest vertex, each term is at
+# most (n-3)**2 < n**2, and C(n-1, 2) * n**2 < 2**63 holds for n <= 65536,
+# not at 65537.
 MAX_AGGREGATE_N = 65536
 
 
@@ -272,12 +271,13 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
     Reads the triangles off ``_kernels.triangle_regions`` in chunks of at
     most ``_kernels.BLOCK`` triangles of one lowest vertex, so memory is the
     two (n, n) int64 rank tables, the pass's pair list of 16 * C(n-1, 2)
-    bytes and O(BLOCK).  Each chunk is reduced in int64: a chunk has at most
-    min(BLOCK, C(n-1,2)) triangles and every per-triangle term is at most
-    n^2, so its sums stay below C(n-1,2) * n^2, which is below 2^63 exactly
-    for n <= MAX_AGGREGATE_N (65536); a larger n raises ValueError before
-    any table is built.  Chunks are summed in Python ints.  Raises
-    CollinearError on a placement with a collinear triple.
+    bytes and O(BLOCK).  ``_kernels.reduce_regions`` reduces each chunk by
+    three plain sums and five int64 dot products: a chunk has at most
+    min(BLOCK, C(n-1,2)) triangles and each adds at most (n-3)^2 < n^2 to a
+    dot product, so every sum stays below C(n-1,2) * n^2, which is below
+    2^63 exactly for n <= MAX_AGGREGATE_N (65536); a larger n raises
+    ValueError before any table is built.  Chunks are summed in Python
+    ints.  Raises CollinearError on a placement with a collinear triple.
     """
     n = placement.n
     if n < 3:
@@ -375,30 +375,4 @@ def count5_from_regions(agg: AggregateSums) -> TypeCounts5:
             f"quad-extension identity failed: ({n}-4)*{quads.quad} != "
             f"5*{pentagon} + 3*{four_hull} + {three_hull}"
         )
-    return TypeCounts5(pentagon, four_hull, three_hull)
-
-
-def delta_count5(placement: Placement, moved: int) -> TypeCounts5:
-    """Type counts over exactly the C(n-1,4) five-subsets containing one
-    point.  A pure-Python reference: the tests hold the annealer's kernel
-    delta (``_kernels.pentagon_pair_delta``) equal to its difference between
-    two positions of the point; no search code calls it."""
-    n = placement.n
-    if not 0 <= moved < n:
-        raise ValueError(f"index {moved} out of range for n = {n}")
-    if n < 5:
-        raise ValueError(f"5-subset counting needs n >= 5, got {n}")
-    q = placement.points[moved]
-    others = placement.points[:moved] + placement.points[moved + 1 :]
-    pentagon = 0
-    four_hull = 0
-    three_hull = 0
-    for a, b, c, d in combinations(others, 4):
-        t = tridot_subsets5(a, b, c, d, q)
-        if t == 0:
-            pentagon += 1
-        elif t == 2:
-            four_hull += 1
-        else:
-            three_hull += 1
     return TypeCounts5(pentagon, four_hull, three_hull)

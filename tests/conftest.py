@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from convexcount import COORD_BOUND, GeneratorSpec, Placement, _kernels, generate
+from convexcount import COORD_BOUND, GeneratorSpec, Placement, TypeCounts5, _kernels, generate
+from convexcount.classification import tridot_subsets5
 
 coord = st.one_of(
     st.integers(-15, 15),
@@ -33,6 +34,32 @@ def completion_table(coords):
         for order in permutations((i, v2, v3)):
             table[order] = interior + beta.sum(axis=0)
     return table
+
+
+def delta_count5(placement: Placement, moved: int) -> TypeCounts5:
+    """Type counts over exactly the C(n-1,4) five-subsets containing one
+    point, by classifying each: the reference for the annealer's kernel
+    delta (``_kernels.pentagon_pair_delta``), which must equal its
+    difference between two positions of the point."""
+    n = placement.n
+    if not 0 <= moved < n:
+        raise ValueError(f"index {moved} out of range for n = {n}")
+    if n < 5:
+        raise ValueError(f"5-subset counting needs n >= 5, got {n}")
+    q = placement.points[moved]
+    others = placement.points[:moved] + placement.points[moved + 1 :]
+    pentagon = 0
+    four_hull = 0
+    three_hull = 0
+    for a, b, c, d in combinations(others, 4):
+        t = tridot_subsets5(a, b, c, d, q)
+        if t == 0:
+            pentagon += 1
+        elif t == 2:
+            four_hull += 1
+        else:
+            three_hull += 1
+    return TypeCounts5(pentagon, four_hull, three_hull)
 
 
 def point_in_triangle(p, a, b, c) -> bool:

@@ -24,7 +24,6 @@ from convexcount import (
     count4_naive,
     count5_from_regions,
     count5_naive,
-    delta_count5,
     generate,
     region_counts,
     region_table,
@@ -34,7 +33,7 @@ from convexcount import _kernels
 from convexcount.counting import MAX_AGGREGATE_N
 from convexcount.geometry import find_violation
 
-from conftest import completion_table, coord, parabola, random_disc
+from conftest import completion_table, coord, delta_count5, parabola, random_disc
 
 
 def test_count4_naive_examples(square_center, triangle_two_inside):
@@ -184,6 +183,53 @@ def test_block_split_matches_unsplit_pass():
 def test_block_split_matches_unsplit_pass_on_tie_heavy_points(pts):
     if find_violation(pts) is None:
         assert_block_split_matches(Placement.from_points(pts))
+
+
+def reduce_reference(interior, beta, gamma):
+    """The ten sums of ``reduce_regions`` slot by slot in Python ints: the
+    binomials C(x, 2) and the pairwise cross products of each triangle."""
+    acc = [0] * 10
+    for inner, b, g in zip(interior.tolist(), beta.T.tolist(), gamma.T.tolist()):
+        bt, gt = sum(b), sum(g)
+        terms = (
+            bt,
+            gt,
+            bt * bt,
+            gt * gt,
+            bt * gt,
+            sum(comb(x, 2) for x in g),
+            g[0] * g[1] + g[0] * g[2] + g[1] * g[2],
+            sum(comb(x, 2) for x in b),
+            b[0] * b[1] + b[0] * b[2] + b[1] * b[2],
+            inner,
+        )
+        acc = [a + t for a, t in zip(acc, terms)]
+    return tuple(acc)
+
+
+region_rows = st.integers(1, 40).flatmap(
+    lambda rows: st.lists(st.integers(0, 10**4), min_size=7 * rows, max_size=7 * rows)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_rows)
+def test_reduce_regions_matches_slot_reference(values):
+    counts = np.array(values, dtype=np.int64).reshape(7, -1)
+    interior, beta, gamma = counts[0], counts[1:4], counts[4:]
+    got = _kernels.reduce_regions(interior, beta, gamma)
+    assert got == reduce_reference(interior, beta, gamma)
+    assert all(type(v) is int for v in got)
+
+
+def test_reduce_regions_at_the_int64_bound():
+    # a full block with every count at its largest value, n - 3, for the
+    # largest n the aggregation accepts
+    top = np.full((7, _kernels.BLOCK), MAX_AGGREGATE_N - 3, dtype=np.int64)
+    interior, beta, gamma = top[0], top[1:4], top[4:]
+    assert _kernels.reduce_regions(interior, beta, gamma) == reduce_reference(
+        interior, beta, gamma
+    )
 
 
 @pytest.mark.parametrize(

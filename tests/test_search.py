@@ -22,7 +22,6 @@ from convexcount import (
     canonical_triangle,
     count5_naive,
     cross,
-    delta_count5,
     generate,
     minimize_pentagons,
     orientation,
@@ -32,7 +31,7 @@ from convexcount import _kernels, search
 from convexcount.geometry import find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
-from conftest import completion_table, coord, hull_size, random_disc
+from conftest import completion_table, coord, delta_count5, hull_size, random_disc
 
 
 def test_parabola_generator_exact_points():
