@@ -5,9 +5,8 @@ Region counts use exact angular ranks around lowest-vertex pivots (Rote,
 Woeginger, Zhu & Wang, "Counting k-subsets and convex k-gons in the plane",
 IPL 1991).  ``rank_tables`` builds two n x n integer tables in O(n^2 log n)
 work by sorting the directions around each point once, by the exact key of
-``geometry.direction_keys``: distinct keys differ by at least 6 * 10**-16,
-and each key is rounded by at most 2**-54, so a tie of two keys around a
-point is a collinear triple, which raises CollinearError.
+``geometry.direction_keys``, so a tie of two keys around a point is a
+collinear triple: CollinearError names the first one in index order.
 ``triangle_regions`` is the one pass over all C(n, 3) triangles, O(n^3) in
 all, each taken at its lowest point; ``pivot_regions`` reads a block's seven
 region counts in O(1) per triangle, with four table entries each.  Memory is
@@ -47,6 +46,7 @@ from .geometry import (
     direction_keys,
     pair_sign_matrix,
     row_blocks,
+    tied_triple,
 )
 
 
@@ -64,13 +64,12 @@ def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Each row sorts its directions once by the exact key of
     ``geometry.direction_keys``, which ignores the half, so two keys tie
     exactly when the two points lie on one line through v: a tie raises
-    CollinearError, and every row is a strict order.  With the counts of
-    the upper and the lower half before each position of the sorted row,
-    a's rank is the points of its own half before it, plus the whole upper
-    half when a is lower, and left[v, a] is the points of its own half
-    after it plus those of the other half before it.  The key is exact
-    under the coordinate bound: distinct keys differ by at least
-    6 * 10**-16 and each is rounded by at most 2**-54 (see
+    CollinearError naming the first collinear triple (``tied_triple``), and
+    every row is a strict order.  With the counts of the upper and the lower
+    half before each position of the sorted row, a's rank is the points of
+    its own half before it, plus the whole upper half when a is lower, and
+    left[v, a] is the points of its own half after it plus those of the
+    other half before it.  The key is exact under the coordinate bound (see
     ``direction_keys``).  Rows go in blocks of about KEY_BLOCK elements, so
     the temporaries stay O(KEY_BLOCK) beside the two tables.
     """
@@ -79,8 +78,8 @@ def rank_tables(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     left = np.empty((n, n), dtype=np.int64)
     for rows in row_blocks(n):
         order, lower, tie = direction_keys(coords, rows)
-        if tie.any():
-            raise CollinearError("two points on one line through a third: a collinear triple")
+        if (triple := tied_triple(rows, order, tie)) is not None:
+            raise CollinearError(str(triple))
         # points of the upper and the lower half before each position; the
         # last column is v itself, in neither half, so it holds the totals
         halves = np.stack((~lower, lower))

@@ -277,7 +277,7 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
     dot product, so every sum stays below C(n-1,2) * n^2, which is below
     2^63 exactly for n <= MAX_AGGREGATE_N (65536); a larger n raises
     ValueError before any table is built.  Chunks are summed in Python
-    ints.  Raises CollinearError on a placement with a collinear triple.
+    ints.  CollinearError names the first collinear triple, if there is one.
     """
     n = placement.n
     if n < 3:

@@ -126,7 +126,7 @@ KEY_BLOCK = 1 << 16
 def row_blocks(n: int) -> Iterator[slice]:
     """Consecutive slices of range(n), each of at most max(1, KEY_BLOCK // n)
     rows, so an (rows, n) block holds about KEY_BLOCK elements."""
-    step = max(1, KEY_BLOCK // n)
+    step = max(1, KEY_BLOCK // max(n, 1))
     for start in range(0, n, step):
         yield slice(start, min(n, start + step))
 
@@ -180,6 +180,23 @@ def direction_keys(
     return order, np.take_along_axis(lower, order, axis=1), tie
 
 
+def tied_triple(rows: slice, order: np.ndarray, tie: np.ndarray) -> Optional[Collinear]:
+    """The first collinear triple in index order from the ``direction_keys``
+    block of ``rows``, or None without a tie; no earlier row may hold one.
+    A triple ties in the row of each of its points, so the first tied row i
+    is the smallest first index of any triple and every point tied around i
+    comes after it; j is the smallest point of any tie run (a line through
+    i) and k the next smallest of j's run."""
+    if not tie.any():
+        return None
+    r = int(tie.any(axis=1).argmax())
+    o, t = order[r], tie[r]
+    line = np.cumsum(~t)  # the positions of one tie run share a label
+    j = o[t | np.append(t[1:], False)].min()  # the smallest point of any run
+    k = np.partition(o[line == line[o == j]], 1)[1]
+    return Collinear(rows.start + r, int(j), int(k))
+
+
 def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:
     """(n, n) int8 matrix of orientation signs or(p_a, p_b, q).
 
@@ -198,7 +215,7 @@ def pair_sign_matrix(coords: np.ndarray, q: Tuple[int, int]) -> np.ndarray:
 def _first_duplicate(points) -> Optional[Duplicate]:
     """The first pair of equal points, in index order, or None.  Every
     coordinate up to that pair must be an int within ``COORD_BOUND``
-    (InvalidPlacementError otherwise), which keeps the int64 products of
+    (InvalidPlacementError otherwise), which keeps the float keys of
     ``_first_collinear`` exact."""
     seen: dict = {}
     for i, p in enumerate(points):
@@ -211,23 +228,12 @@ def _first_duplicate(points) -> Optional[Duplicate]:
 
 
 def _first_collinear(coords: np.ndarray) -> Optional[Collinear]:
-    """The first collinear triple, in index order, or None.
-
-    ``coords`` holds distinct points within ``COORD_BOUND``, so their
-    ``direction_keys`` are exact: three points are collinear exactly when
-    two of them tie around the third, which costs O(n^2 log n) to rule out.
-    Only when a tie exists does an O(n^3) scan look for the first triple.
-    """
-    n = len(coords)
-    if n < 3 or not any(direction_keys(coords, rows)[2].any() for rows in row_blocks(n)):
-        return None
-    for i in range(n - 2):
-        # the pairs (j, k), j < k, after i that are collinear with it
-        zero = np.triu(pair_sign_matrix(coords[i + 1 :], coords[i]) == 0, 1)
-        if zero.any():
-            # row-major order: smallest j first, then smallest k
-            j, k = np.argwhere(zero)[0]
-            return Collinear(i, int(j) + i + 1, int(k) + i + 1)
+    """The first collinear triple, in index order, or None, in O(n^2 log n):
+    the ``direction_keys`` of distinct points within ``COORD_BOUND`` are exact."""
+    for rows in row_blocks(len(coords)):
+        order, _, tie = direction_keys(coords, rows)
+        if (triple := tied_triple(rows, order, tie)) is not None:
+            return triple
     return None
 
 

@@ -2,12 +2,21 @@ import argparse
 import io
 import json
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexcount import Placement, TypeCounts5, dumps_placement, load_placement
+from convexcount import (
+    COORD_BOUND,
+    Placement,
+    TypeCounts5,
+    dumps_placement,
+    find_violation,
+    load_placement,
+)
 from convexcount import _kernels, cli
 from convexcount.cli import main
 from convexcount.search import MAX_ANNEAL_N
@@ -139,12 +148,79 @@ def test_count_square_center(tmp_path, capsys):
         "3\n0 0\n1 1\n1 1\n",      # duplicate
         "3\n0 0\n1 1\n",           # count mismatch
         "nonsense\n",
+        # one edit away from the valid square_center file
+        "4\n0 0\n6 0\n6 6\n0 6\n3 2\n",
+        "6\n0 0\n6 0\n6 6\n0 6\n3 2\n",
+        "+5\n0 0\n6 0\n6 6\n0 6\n3 2\n",
+        "05\n0 0\n6 0\n6 6\n0 6\n3 2\n",
+        "5\n0 0\n6 0\n6 6\n0 6\n+3 2\n",
+        "5\n0 0\n6 0\n6 6\n0 6\n03 2\n",
+        "5\n0 0\n6 0\n6 6\n0 6\n3 2 \n",
+        f"5\n0 0\n6 0\n6 6\n0 6\n3 {COORD_BOUND + 1}\n",
+        f"5\n0 0\n6 0\n6 6\n0 6\n{-COORD_BOUND - 1} 2\n",
     ],
 )
 def test_count_bad_file_exits_2(tmp_path, content, capsys):
     path = _write(tmp_path, "bad.txt", content)
     assert main(["count", path]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+LINE_EDITS = (
+    lambda line: line + " ",
+    lambda line: "+" + line,
+    lambda line: "0" + line,
+    lambda line: "-" + line,
+    lambda line: line.replace(" ", "  "),
+    lambda line: line.replace(" ", "\t"),
+    lambda line: "# " + line,
+    lambda line: "",
+    lambda line: line + "\r",
+)
+fuzz_coord = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-COORD_BOUND, COORD_BOUND),
+    st.sampled_from([COORD_BOUND, -COORD_BOUND, COORD_BOUND + 1, -COORD_BOUND - 1]),
+)
+
+
+@st.composite
+def near_valid_placements(draw):
+    """Placement text of a few points, often repeated or collinear, with up
+    to two lines edited out of the canonical format."""
+    pts = draw(st.lists(st.tuples(fuzz_coord, fuzz_coord), min_size=3, max_size=8))
+    lines = [str(len(pts) + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1])))]
+    lines += [f"{x} {y}" for x, y in pts]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(LINE_EDITS))(lines[i])
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", "", "\n\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(lambda text: text.encode("utf-8")),
+    near_valid_placements().map(lambda text: text.encode("ascii")),
+))
+def test_count_request_fuzz_exits_0_or_2(data):
+    # hypothesis refuses the function-scoped tmp_path fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "placement.txt"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["count", str(path)])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+def test_count_collinear_file_names_the_first_triple(tmp_path, capsys):
+    # (5, 17) lies on the line y = 4x - 3 through (1, 1) and (3, 9)
+    pts = [(i, i * i) for i in range(10)] + [(5, 17)]
+    path = _write(tmp_path, "collinear.txt", dumps_placement(Placement(tuple(pts))))
+    assert main(["count", path]) == 2
+    assert capsys.readouterr().err == f"error: {find_violation(pts)}\n"
 
 
 def test_count_missing_file_exits_2(tmp_path, capsys):

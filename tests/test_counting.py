@@ -125,7 +125,7 @@ def test_aggregate_matches_pure_reference():
 def test_aggregate_rejects_collinear_triple():
     # the constructor skips the general-position scan
     p = Placement(((0, 0), (9, 1), (1, 1), (5, 7), (2, 2), (4, -3)))
-    with pytest.raises(CollinearError):
+    with pytest.raises(CollinearError, match="indices 0, 2, 4"):
         aggregate_regions(p)
     with pytest.raises(CollinearError):
         region_table(p)

@@ -66,6 +66,8 @@ def test_find_violation_examples():
     assert find_violation([(0, 0), (1, 0), (0, 1)]) is None
     v = find_violation([(0, 0), (1, 1), (2, 2), (5, 0)])
     assert v == Collinear(0, 1, 2)
+    # four points on one line: the triple takes the two smallest after 0
+    assert find_violation([(0, 0), (3, 3), (9, 4), (1, 1), (2, 2)]) == Collinear(0, 1, 3)
     v = find_violation([(0, 0), (0, 0), (1, 2)])
     assert v == Duplicate(0, 1)
     assert find_violation(Placement(((0, 0), (1, 1), (2, 2), (5, 0)))) == Collinear(0, 1, 2)
@@ -93,7 +95,12 @@ def _shuffled_grid(n):
     [(_planted_triple(), False), (_shuffled_grid(12), True), (_shuffled_grid(40), True)],
     ids=["n70_planted", "n12_grid", "n40_grid"],
 )
-def test_find_violation_vectorized_matches_pure(pts, tie_heavy):
+def test_find_violation_vectorized_matches_pure(pts, tie_heavy, monkeypatch):
+    # the sorted direction keys alone name the first triple: no cubic scan
+    def refuse(*args):
+        raise AssertionError("pair_sign_matrix called during validation")
+
+    monkeypatch.setattr(geometry, "pair_sign_matrix", refuse)
     triples = [
         Collinear(i, j, k)
         for i, j, k in combinations(range(len(pts)), 3)

@@ -157,7 +157,13 @@ def first_collinear_by_loop(pts):
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_sets)
 def test_find_violation_matches_loop_on_tie_heavy_sets(pts):
-    assert find_violation(pts) == first_collinear_by_loop(pts)
+    violation = find_violation(pts)
+    assert violation == first_collinear_by_loop(pts)
+    if violation is not None:
+        # the table build names the same triple
+        with pytest.raises(CollinearError) as exc:
+            _kernels.rank_tables(np.array(pts, dtype=np.int64))
+        assert str(exc.value) == str(violation)
 
 
 def test_find_violation_across_row_blocks(monkeypatch):
@@ -177,7 +183,7 @@ def test_rank_tables_raise_on_a_tie_in_the_last_row_blocks(monkeypatch):
     tied = [rows for rows in geometry.row_blocks(len(pts))
             if geometry.direction_keys(np.array(pts), rows)[2].any()]
     assert tied == [slice(18, 19), slice(19, 20), slice(20, 21)]
-    with pytest.raises(CollinearError):
+    with pytest.raises(CollinearError, match="18, 19, 20"):
         _kernels.rank_tables(np.array(pts, dtype=np.int64))
 
 
