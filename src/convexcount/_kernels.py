@@ -13,6 +13,7 @@ region counts in O(1) per triangle, with four table entries each.  Memory is
 the two tables, a pair list and O(BLOCK): the region sums, the region table
 and the annealer's completion table are all read off the pass.
 
+``candidate_signs`` probes a new position of one point for general position.
 The annealer's kernel scores a move of one point x without touching a
 5-subset: ``pentagon_pair_delta`` reads, densely over (2, n, n, n) int8
 for the candidate and the current position together, which triples of
@@ -36,7 +37,7 @@ ints, which are unbounded.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -221,14 +222,20 @@ def reduce_regions(
     )
 
 
-def degenerate_with_pair(coords: np.ndarray, q: Tuple[int, int]) -> bool:
-    """True when q is collinear with (or equal to) some pair of the points.
+def candidate_signs(coords: np.ndarray, u: int, q: Tuple[int, int]) -> Optional[np.ndarray]:
+    """Point u's (n, n) int8 pair signs or(p_a, p_b, q) at a new position q:
+    ``pair_sign_matrix(coords, q)`` with row and column u set to 0, or None
+    when q is collinear with two other points or equal to one.
 
-    The sign matrix is antisymmetric with a zero diagonal, so it falls short
-    of m * (m - 1) nonzero entries exactly when an off-diagonal entry is 0.
+    The sign matrix is antisymmetric with a zero diagonal, so without row
+    and column u it falls short of (n - 1) * (n - 2) nonzero entries exactly
+    when an entry between two other points is 0.  With one other point
+    there is no such entry, so a q equal to it passes.
     """
-    m = coords.shape[0]
-    return bool(np.count_nonzero(pair_sign_matrix(coords, q)) != m * (m - 1))
+    signs = pair_sign_matrix(coords, q)
+    signs[u] = signs[:, u] = 0
+    n = coords.shape[0]
+    return signs if np.count_nonzero(signs) == (n - 1) * (n - 2) else None
 
 
 def full_sign_tensor(coords: np.ndarray) -> np.ndarray:

@@ -206,8 +206,8 @@ def _load(path: str) -> Placement:
 def _count_with_engine(placement: Placement, engine: str):
     """Counts plus aggregate sums and phase timings for one engine choice.
 
-    auto uses the region engine and, for small n, replays the naive engines
-    as an oracle; any disagreement raises InconsistentCountsError.
+    naive, and auto for small n, check the region engine's counts against
+    the naive engines; any disagreement raises InconsistentCountsError.
     """
     if engine == "naive" and placement.n > NAIVE_ENGINE_MAX_N:
         raise ValueError(
@@ -221,7 +221,7 @@ def _count_with_engine(placement: Placement, engine: str):
 
     t0 = time.perf_counter()
     t4_regions = count4_from_regions(agg)
-    t5_regions = count5_from_regions(agg) if placement.n >= 5 else TypeCounts5(0, 0, 0)
+    t5_regions = count5_from_regions(agg)
     timings["derive"] = time.perf_counter() - t0
 
     if engine == "naive" or (engine == "auto" and 5 <= placement.n <= NAIVE_CHECK_MAX_N):
@@ -234,8 +234,6 @@ def _count_with_engine(placement: Placement, engine: str):
                 f"engine mismatch: naive {(t4_naive, t5_naive)} vs "
                 f"regions {(t4_regions, t5_regions)}"
             )
-        if engine == "naive":
-            return t4_naive, t5_naive, agg, timings
     return t4_regions, t5_regions, agg, timings
 
 
@@ -364,16 +362,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidPlacementError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except InconsistentCountsError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ParseError, ValidationError, InvalidPlacementError, GenerationError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -53,8 +53,6 @@ class ExhaustedRejectionError(GenerationError):
     point (bounds too tight for the requested size)."""
 
 
-GENERATOR_KINDS = ("parabola", "random_disc", "convex", "grid_perturbed")
-
 # Proven minimum pentagon counts; a search result below these is a bug.
 KNOWN_MIN_PENTAGONS = {16: 112, 18: 252}
 
@@ -116,11 +114,12 @@ def _generate_random_disc(spec: GeneratorSpec) -> Placement:
     rng = np.random.default_rng(spec.seed)
     radius = spec.coord_bound
     r2 = radius * radius
-    points: List[Point] = []
+    # a probe against the first point alone cannot see a repeat of it
     taken = set()
     coords = np.empty((spec.n, 2), dtype=np.int64)
     attempts_left = 400 * spec.n + 2000
-    while len(points) < spec.n:
+    m = 0
+    while m < spec.n:
         if attempts_left == 0:
             raise ExhaustedRejectionError(
                 f"could not place {spec.n} disc points within bound {radius}"
@@ -130,12 +129,13 @@ def _generate_random_disc(spec: GeneratorSpec) -> Placement:
         y = int(rng.integers(-radius, radius + 1))
         if x * x + y * y > r2 or (x, y) in taken:
             continue
-        if _kernels.degenerate_with_pair(coords[: len(points)], (x, y)):
+        # adding point m is moving it to (x, y) among the points before it
+        coords[m] = (x, y)
+        if _kernels.candidate_signs(coords[: m + 1], m, (x, y)) is None:
             continue
-        coords[len(points)] = (x, y)
-        points.append(Point(x, y))
         taken.add((x, y))
-    return Placement(tuple(points))
+        m += 1
+    return Placement(tuple(Point(x, y) for x, y in coords.tolist()))
 
 
 def _generate_convex(spec: GeneratorSpec) -> Placement:
@@ -184,15 +184,18 @@ def _generate_grid_perturbed(spec: GeneratorSpec) -> Placement:
     )
 
 
+_GENERATORS = {
+    "parabola": _generate_parabola,
+    "random_disc": _generate_random_disc,
+    "convex": _generate_convex,
+    "grid_perturbed": _generate_grid_perturbed,
+}
+GENERATOR_KINDS = tuple(_GENERATORS)
+
+
 def generate(spec: GeneratorSpec) -> Placement:
     """Produce a valid placement for the spec; deterministic in the seed."""
-    if spec.kind == "parabola":
-        return _generate_parabola(spec)
-    if spec.kind == "random_disc":
-        return _generate_random_disc(spec)
-    if spec.kind == "convex":
-        return _generate_convex(spec)
-    return _generate_grid_perturbed(spec)
+    return _GENERATORS[spec.kind](spec)
 
 
 @dataclass(frozen=True)
@@ -263,9 +266,9 @@ class _Chain:
     move adds the change in the triples' tridots with u to the table (0 on
     the entries through u), then rewrites the table's three slices through
     u with the candidate's pair counts, as it rewrites the sign tensor's
-    three slices with the candidate's pair signs.  A candidate is rejected
-    when its pair-sign matrix over the fixed points has a zero off the
-    diagonal, which covers both a collinear triple and a repeated point.
+    three slices with the candidate's pair signs.  Those signs come from
+    ``_kernels.candidate_signs``, which rejects a candidate collinear with
+    two fixed points or equal to one.
     The chain start and every recount read the pentagon count and the
     completion table off one ``_kernels.triangle_regions`` pass and check
     them against each other; a recount also rebuilds the sign tensor.
@@ -324,16 +327,12 @@ class _Chain:
         old = self.points[u]
         if cand == old:
             return
-        pairs = self._pairs
-        pair_new = pairs[0]
-        pair_new[...] = _kernels.pair_sign_matrix(self.coords, cand)
-        pair_new[u, :] = 0
-        pair_new[:, u] = 0
-        # a zero off the diagonal: cand is collinear with, or equal to, fixed points
-        if np.count_nonzero(pair_new) != (self.n - 1) * (self.n - 2):
+        pair_new = _kernels.candidate_signs(self.coords, u, cand)
+        if pair_new is None:
             return
-        pairs[1] = self.signs[:, :, u]
-        delta, t, te = _kernels.pentagon_pair_delta(self.signs, pairs, self.completion)
+        self._pairs[0] = pair_new
+        self._pairs[1] = self.signs[:, :, u]
+        delta, t, te = _kernels.pentagon_pair_delta(self.signs, self._pairs, self.completion)
         if delta > 0:
             if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
                 return

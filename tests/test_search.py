@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 from itertools import combinations, permutations, product
 
@@ -28,7 +29,7 @@ from convexcount import (
     region_counts,
 )
 from convexcount import _kernels, search
-from convexcount.geometry import find_violation
+from convexcount.geometry import dumps_placement, find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
 from conftest import completion_table, coord, delta_count5, hull_size, random_disc
@@ -87,6 +88,53 @@ def test_random_disc_rejection_exhausts():
         generate(GeneratorSpec("random_disc", 40, seed=0, coord_bound=3))
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _generated(spec):
+    """The spec's placement file, or its generation error."""
+    try:
+        return dumps_placement(generate(spec))
+    except GenerationError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+
+
+PINNED_GENERATORS = {
+    "parabola": "f5b3957d445e6eee",
+    "random_disc": "be88ca265196aac9",
+    "convex": "a756bc2148a94891",
+    "grid_perturbed": "7f012dcb703374f7",
+}
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generators_match_pinned_output(kind):
+    # every benchmark input and every chain start comes from `generate`, so a
+    # change to a generator's random stream or rejection rule shows here;
+    # the tight bounds make each kind exhaust its attempts on some specs
+    text = "".join(
+        _generated(GeneratorSpec(kind, n, seed=seed, coord_bound=bound))
+        for n in (3, 4, 5, 9, 17, 40)
+        for seed in (0, 1, 2)
+        for bound in (3, 30, 1000, 10**7)
+    )
+    assert _digest(text) == PINNED_GENERATORS[kind]
+
+
+def test_random_disc_matches_pinned_large_input():
+    # the benchmark's large_n200 placement
+    spec = GeneratorSpec("random_disc", 200, seed=1211, coord_bound=10**6)
+    assert _digest(_generated(spec)) == "d098e8849d2a04f7"
+
+
+def test_random_disc_rejects_a_repeated_draw():
+    # the second draw inside the disc repeats the first point, (1, 2); a
+    # probe against one placed point cannot see that, only the `taken` set
+    p = generate(GeneratorSpec("random_disc", 5, seed=9, coord_bound=3))
+    assert p.points == ((1, 2), (2, 0), (-2, 2), (1, 0), (2, 1))
+
+
 def test_generator_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec("spiral", 8)
@@ -103,10 +151,7 @@ def _kernel_inputs(p, u, cand):
     cand, all built fresh."""
     coords = np.array(p.coords, dtype=np.int64)
     signs = _kernels.full_sign_tensor(coords)
-    pair_new = _kernels.pair_sign_matrix(coords, cand)
-    pair_new[u, :] = 0
-    pair_new[:, u] = 0
-    pairs = np.stack((pair_new, signs[:, :, u]))
+    pairs = np.stack((_kernels.candidate_signs(coords, u, cand), signs[:, :, u]))
     return signs, pairs, completion_table(coords)
 
 
@@ -162,17 +207,36 @@ def test_pentagon_pair_delta_property(pts, cand, data):
     assume(find_violation(pts) is None)
     p = Placement.from_points(pts)
     u = data.draw(st.integers(0, p.n - 1))
-    coords = np.array(p.coords, dtype=np.int64)
     moved_pts = list(pts)
     moved_pts[u] = cand
-    pairs = _kernels.pair_sign_matrix(coords, cand)
-    pairs[u, :] = 0
-    pairs[:, u] = 0
-    # the annealer's zero-count test: it rejects exactly the invalid moves
-    degenerate = np.count_nonzero(pairs) != (p.n - 1) * (p.n - 2)
+    # the annealer's probe: it rejects exactly the invalid moves
+    degenerate = _kernels.candidate_signs(p.coords, u, cand) is None
     assert degenerate == (find_violation(moved_pts) is not None)
     assume(not degenerate)
     assert _kernel_delta(p, u, cand) == _naive_delta(p, u, cand)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(coord, coord), min_size=2, max_size=7, unique=True),
+    st.tuples(coord, coord),
+    st.data(),
+)
+def test_candidate_signs_contract(others, stale, data):
+    # the other points are in general position; u's stale position may repeat
+    # one of them or line up with two, since the probe never reads it
+    assume(len(others) < 3 or find_violation(others) is None)
+    u = data.draw(st.integers(0, len(others)))
+    q = data.draw(st.one_of(st.tuples(coord, coord), st.sampled_from(others)))
+    coords = np.array(others[:u] + [stale] + others[u:], dtype=np.int64)
+    moved = others[:u] + [q] + others[u:]
+    signs = _kernels.candidate_signs(coords, u, q)
+    assert (signs is None) == (find_violation(moved) is not None)
+    if signs is not None:
+        expected = _kernels.pair_sign_matrix(coords, q)
+        expected[u, :] = 0
+        expected[:, u] = 0
+        assert signs.dtype == np.int8 and np.array_equal(signs, expected)
 
 
 def test_pentagon_pair_delta_rejects_corrupt_completion():
@@ -406,18 +470,37 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
         _Chain(start, np.random.default_rng(0), cfg)
 
 
+def _result_digest(res):
+    """A digest of every field of a SearchResult."""
+    rest = (res.best_pentagons, res.iterations_used, res.trace, res.restart_bests,
+            res.consistency)
+    return _digest(dumps_placement(res.best_placement) + repr(rest))
+
+
 @pytest.mark.parametrize(
-    "n, iterations, seed, best, trace_len, last",
-    [(18, 600, 11, 599, 51, (0, 556, 599)), (30, 120, 12, 24320, 47, (0, 117, 24320))],
+    "n, iterations, seed, best, trace_len, last, digest",
+    [
+        (18, 600, 11, 599, 51, (0, 556, 599), "58e427e00ca75e89"),
+        (30, 120, 12, 24320, 47, (0, 117, 24320), "2c10a385567b29a7"),
+    ],
     ids=["n18", "n30"],
 )
-def test_minimize_matches_pinned_results(n, iterations, seed, best, trace_len, last):
+def test_minimize_matches_pinned_results(n, iterations, seed, best, trace_len, last, digest):
     # values of the two-evaluation annealer, which every later kernel must keep:
     # a changed accept/reject decision moves the random stream and the trace
     res = minimize_pentagons(AnnealConfig(n=n, iterations=iterations, restarts=1, seed=seed))
     assert res.best_pentagons == best and type(res.best_pentagons) is int
     assert len(res.trace) == trace_len
     assert res.trace[-1] == last
+    assert _result_digest(res) == digest
+
+
+def test_minimize_matches_pinned_result_in_a_small_box():
+    # in a box of half-side 8 about half the candidates are collinear with
+    # two points or repeat one, and the best count still falls near the end
+    # of the run, so the result pins which moves the probe rejects
+    res = minimize_pentagons(AnnealConfig(n=12, iterations=300, restarts=2, seed=5, coord_bound=8))
+    assert _result_digest(res) == "a6e76e90e9a288dc"
 
 
 def test_step_rejects_degenerate_candidates(monkeypatch):
