@@ -7,19 +7,21 @@ Two independent routes produce the same numbers:
 - the region engine reads the seven region counts of every triangle off two
   exact angular-rank tables (O(n^3) work, vectorized per lowest vertex)
   and derives all type counts from the aggregated region sums through exact
-  double-counting identities, cross-checking itself four ways before
-  returning.
+  double-counting identities, holding every count to the planar-point
+  equations E1-E15 (``identity_checks``) before returning.
 
-Any disagreement between the routes, any failed divisibility, and any failed
-cross-check raises InconsistentCountsError: the underlying identities are
-theorems, so a mismatch always means a bug or corrupted input.
+Any disagreement between the routes and any failed equation raises
+InconsistentCountsError: the equations are theorems, so a failure always
+means a bug or corrupted input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Tuple, Union
 
 from . import _kernels
 from .classification import (
@@ -117,6 +119,21 @@ class AggregateSums:
     def triangles(self) -> int:
         """C(n, 3), the number of triangles summed over."""
         return comb(self.n, 3)
+
+
+Number = Union[int, Fraction]
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    """One verified relation: lhs `relation` rhs, both sides exact."""
+
+    id: str
+    description: str
+    lhs: Number
+    rhs: Number
+    passed: bool
+    relation: str = "=="
 
 
 # Indexed by the sum of four (1 + orientation sign) values: the signs sum to
@@ -299,80 +316,106 @@ def _aggregate(n: int, chunks) -> AggregateSums:
     return AggregateSums(n, *acc)
 
 
-def count4_from_regions(agg: AggregateSums) -> TypeCounts4:
-    """Derive the 4-point type counts from region sums.
+def identity_checks(
+    agg: AggregateSums, t4: TypeCounts4, t5: TypeCounts5
+) -> Tuple[IdentityCheck, ...]:
+    """The planar-point equations E1-E15: the relations between the region
+    sums of a placement and its type counts, each side exact.
 
-    Every convex quad is seen four times as an edge-region configuration and
-    every tridot three times as a corner-region configuration, so the two
-    sums divide exactly by 4 and 3; the results must also satisfy
-    quad + tridot = C(n,4) and tridot = sum_interior.
+    On sums from the region engine some of them follow from others, so they
+    check the arithmetic, not the triangle pass:
+
+    - E4 and E15 follow from E1-E3 (4*3*tridot + 3*4*quad = 12*C(n,4), and
+      E15 is E4 over the C(n,3) triangles);
+    - E13 and E14 follow from E7a/b and E8a/b, since the dot-product
+      reduction takes the pair and cross sums from the squared totals;
+    - E10 holds triangle by triangle, by the partition check in
+      ``_kernels.pivot_regions``.
     """
     n = agg.n
-    if agg.sum_gamma % 4 != 0:
-        raise InconsistentCountsError(
-            f"sum_gamma = {agg.sum_gamma} is not divisible by 4"
-        )
-    if agg.sum_beta % 3 != 0:
-        raise InconsistentCountsError(
-            f"sum_beta = {agg.sum_beta} is not divisible by 3"
-        )
-    quad = agg.sum_gamma // 4
-    tridot = agg.sum_beta // 3
-    if quad + tridot != comb(n, 4):
-        raise InconsistentCountsError(
-            f"quad + tridot = {quad + tridot} != C({n},4) = {comb(n, 4)}"
-        )
-    if tridot != agg.sum_interior:
-        raise InconsistentCountsError(
-            f"tridot = {tridot} != sum_interior = {agg.sum_interior}"
-        )
-    return TypeCounts4(quad, tridot)
+    ntri = agg.triangles
+    checks = []
+
+    def check(cid: str, desc: str, lhs: Number, rhs: Number, relation: str = "==") -> None:
+        passed = lhs <= rhs if relation == "<=" else lhs == rhs
+        checks.append(IdentityCheck(cid, desc, lhs, rhs, passed, relation))
+
+    check("E1", "edge-region incidences count each convex quad 4 times",
+          agg.sum_gamma, 4 * t4.quad)
+    check("E2", "corner-region incidences count each tridot 3 times",
+          agg.sum_beta, 3 * t4.tridot)
+    check("E3", "the two 4-point types partition all 4-subsets",
+          t4.quad + t4.tridot, comb(n, 4))
+    check("E4", "4*corner + 3*edge incidences hit every 4-subset 12 times",
+          4 * agg.sum_beta + 3 * agg.sum_gamma, 12 * comb(n, 4))
+    check("E5", "mixed corner*edge products leave 4 traces per non-pentagon",
+          4 * t5.pentagon, 4 * comb(n, 5) - agg.sum_beta_gamma)
+    check("E6", "the three 5-point types partition all 5-subsets",
+          t5.pentagon + t5.four_hull + t5.three_hull, comb(n, 5))
+    check("E7a", "same-slot edge pairs: 5 per pentagon, 2 per four-hull",
+          agg.sum_gamma_pair_binom, 5 * t5.pentagon + 2 * t5.four_hull)
+    check("E7b", "cross-slot edge products: 5 per pentagon, 1 per four-hull",
+          agg.sum_gamma_cross, 5 * t5.pentagon + t5.four_hull)
+    check("E8a", "same-slot corner pairs: 1 per four-hull, 2 per three-hull",
+          agg.sum_beta_pair_binom, t5.four_hull + 2 * t5.three_hull)
+    check("E8b", "cross-slot corner products: 1 per three-hull",
+          agg.sum_beta_cross, t5.three_hull)
+    check("E9", "extending a quad by its n-4 remaining points, by 5-type",
+          (n - 4) * t4.quad,
+          5 * t5.pentagon + 3 * t5.four_hull + t5.three_hull)
+    check("E10", "the 7 regions absorb all (n-3) points of every triangle",
+          agg.sum_interior + agg.sum_beta + agg.sum_gamma, (n - 3) * ntri)
+    check("E11", "interior incidences mark each tridot exactly once",
+          agg.sum_interior, t4.tridot)
+    check("E12", "squared covariance at most the product of variances",
+          (ntri * agg.sum_beta_gamma - agg.sum_beta * agg.sum_gamma) ** 2,
+          (ntri * agg.sum_beta_sq - agg.sum_beta**2)
+          * (ntri * agg.sum_gamma_sq - agg.sum_gamma**2), "<=")
+    check("E13", "centered edge second moment: 20 per pentagon, 6 per four-hull",
+          agg.sum_gamma_sq - agg.sum_gamma, 20 * t5.pentagon + 6 * t5.four_hull)
+    check("E14", "centered corner second moment: 2 per four-hull, 6 per three-hull",
+          agg.sum_beta_sq - agg.sum_beta, 2 * t5.four_hull + 6 * t5.three_hull)
+    check("E15", "4*mean corner + 3*mean edge totals = 3*(n-3)",
+          Fraction(4 * agg.sum_beta + 3 * agg.sum_gamma, ntri), Fraction(3 * (n - 3)))
+
+    return tuple(checks)
+
+
+# A request derives from one AggregateSums two or three times (count4, count5
+# and bound_report), and the sums are frozen, so the last result is kept.
+@lru_cache(maxsize=1)
+def _derive(agg: AggregateSums) -> Tuple[TypeCounts4, TypeCounts5]:
+    """The 4- and 5-point type counts from region sums, held to E1-E15.
+
+    Each convex quad is seen 4 times as an edge-region configuration and
+    each tridot 3 times as a corner one, so quad = sum_gamma/4 and tridot =
+    sum_beta/3.  With A = sum_gamma_pair_binom = 5*pentagon + 2*four_hull
+    and B = sum_gamma_cross = 5*pentagon + four_hull: four_hull = A - B,
+    pentagon = (2B - A)/5 and three_hull = sum_beta_cross.  The divisions
+    floor, so an inexact one fails E1, E2 or E7a (5*floor((2B - A)/5) +
+    2(A - B) = A - r for the remainder r).  Raises InconsistentCountsError
+    naming every failed equation, or on a negative count.
+    """
+    a, b = agg.sum_gamma_pair_binom, agg.sum_gamma_cross
+    t4 = TypeCounts4(agg.sum_gamma // 4, agg.sum_beta // 3)
+    t5 = TypeCounts5((2 * b - a) // 5, a - b, agg.sum_beta_cross)
+    failed = [c for c in identity_checks(agg, t4, t5) if not c.passed]
+    if failed:
+        raise InconsistentCountsError("; ".join(
+            f"{c.id} fails: {c.lhs} {c.relation} {c.rhs}" for c in failed
+        ))
+    if min(t4.quad, t4.tridot, t5.pentagon, t5.four_hull, t5.three_hull) < 0:
+        raise InconsistentCountsError(f"negative type count: {t4}, {t5}")
+    return t4, t5
+
+
+def count4_from_regions(agg: AggregateSums) -> TypeCounts4:
+    """The 4-point type counts from region sums; raises
+    InconsistentCountsError unless all of E1-E15 hold (see ``_derive``)."""
+    return _derive(agg)[0]
 
 
 def count5_from_regions(agg: AggregateSums) -> TypeCounts5:
-    """Derive the 5-point type counts from region sums.
-
-    With A = sum_gamma_pair_binom = 5*pentagon + 2*four_hull and
-    B = sum_gamma_cross = 5*pentagon + four_hull:
-    four_hull = A - B, pentagon = (2B - A)/5 (exact division), and
-    three_hull = sum_beta_cross.  Four independent identities are then
-    re-checked; failing any of them raises InconsistentCountsError.
-    """
-    n = agg.n
-    a = agg.sum_gamma_pair_binom
-    b = agg.sum_gamma_cross
-    four_hull = a - b
-    if (2 * b - a) % 5 != 0:
-        raise InconsistentCountsError(
-            f"2*sum_gamma_cross - sum_gamma_pair_binom = {2 * b - a} "
-            "is not divisible by 5"
-        )
-    pentagon = (2 * b - a) // 5
-    three_hull = agg.sum_beta_cross
-    if pentagon < 0 or four_hull < 0 or three_hull < 0:
-        raise InconsistentCountsError(
-            f"negative type count: {(pentagon, four_hull, three_hull)}"
-        )
-
-    total5 = comb(n, 5)
-    if 4 * pentagon != 4 * total5 - agg.sum_beta_gamma:
-        raise InconsistentCountsError(
-            "mixed-region identity failed: "
-            f"4*{pentagon} != 4*{total5} - {agg.sum_beta_gamma}"
-        )
-    if pentagon + four_hull + three_hull != total5:
-        raise InconsistentCountsError(
-            f"type totals {pentagon}+{four_hull}+{three_hull} != C({n},5) = {total5}"
-        )
-    if agg.sum_beta_pair_binom != four_hull + 2 * three_hull:
-        raise InconsistentCountsError(
-            f"corner pair identity failed: {agg.sum_beta_pair_binom} != "
-            f"{four_hull} + 2*{three_hull}"
-        )
-    quads = count4_from_regions(agg)
-    if (n - 4) * quads.quad != 5 * pentagon + 3 * four_hull + three_hull:
-        raise InconsistentCountsError(
-            f"quad-extension identity failed: ({n}-4)*{quads.quad} != "
-            f"5*{pentagon} + 3*{four_hull} + {three_hull}"
-        )
-    return TypeCounts5(pentagon, four_hull, three_hull)
+    """The 5-point type counts from region sums; raises
+    InconsistentCountsError unless all of E1-E15 hold (see ``_derive``)."""
+    return _derive(agg)[1]

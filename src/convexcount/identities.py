@@ -1,8 +1,9 @@
 """Exact identity verification, rational statistics, and the lower-bound
 report.
 
-Every equality or inequality checked here is a theorem about planar point
-placements in general position; a failed check on valid input always means
+Every relation in the report (the planar-point equations of
+``counting.identity_checks``) is a theorem about planar point placements in
+general position; a failed check on valid input always means
 an implementation bug, never a property of the placement.  All comparisons
 are exact: integers stay arbitrary-precision ints and every average,
 variance, and covariance is a Fraction.  Floating point appears only in the
@@ -15,9 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from .counting import AggregateSums, TypeCounts4, TypeCounts5, count5_from_regions
+from .counting import (
+    AggregateSums,
+    IdentityCheck,
+    TypeCounts4,
+    TypeCounts5,
+    count5_from_regions,
+    identity_checks,
+)
 
 SQRT5 = sqrt(5.0)
 
@@ -25,20 +33,6 @@ SQRT5 = sqrt(5.0)
 C5_LOWER_CONST = (5 * SQRT5 - 11) / 4  # ~ 0.04508497187473712
 MU5_COEFF = (5 * SQRT5 - 11) / 480  # ~ 3.757e-4 ~ 1/2661.9
 RHS_CONST_COEFF = 10 * SQRT5 - 22  # ~ 0.3606797749978969
-
-Number = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One verified relation: lhs `relation` rhs, both sides exact."""
-
-    id: str
-    description: str
-    lhs: Number
-    rhs: Number
-    passed: bool
-    relation: str = "=="
 
 
 @dataclass(frozen=True)
@@ -109,70 +103,12 @@ class BoundReport:
 def verify_identities(
     agg: AggregateSums, t4: TypeCounts4, t5: TypeCounts5
 ) -> IdentityReport:
-    """Check the fifteen exact relations tying region sums to type counts.
-
-    Inputs must come from the same placement.  Failures are report entries,
-    not exceptions, so a broken build shows all casualties at once.
+    """Check the planar-point equations E1-E15 (``counting.identity_checks``,
+    the list every region-engine count is held to) on region sums and type
+    counts from the same placement.  Failures are report entries, not
+    exceptions, so a broken build shows all casualties at once.
     """
-    n = agg.n
-    ntri = agg.triangles
-    checks = []
-
-    def eq(cid: str, desc: str, lhs: Number, rhs: Number) -> None:
-        checks.append(IdentityCheck(cid, desc, lhs, rhs, lhs == rhs))
-
-    eq("E1", "edge-region incidences count each convex quad 4 times",
-       agg.sum_gamma, 4 * t4.quad)
-    eq("E2", "corner-region incidences count each tridot 3 times",
-       agg.sum_beta, 3 * t4.tridot)
-    eq("E3", "the two 4-point types partition all 4-subsets",
-       t4.quad + t4.tridot, comb(n, 4))
-    eq("E4", "4*corner + 3*edge incidences hit every 4-subset 12 times",
-       4 * agg.sum_beta + 3 * agg.sum_gamma, 12 * comb(n, 4))
-    eq("E5", "mixed corner*edge products leave 4 traces per non-pentagon",
-       4 * t5.pentagon, 4 * comb(n, 5) - agg.sum_beta_gamma)
-    eq("E6", "the three 5-point types partition all 5-subsets",
-       t5.pentagon + t5.four_hull + t5.three_hull, comb(n, 5))
-    eq("E7a", "same-slot edge pairs: 5 per pentagon, 2 per four-hull",
-       agg.sum_gamma_pair_binom, 5 * t5.pentagon + 2 * t5.four_hull)
-    eq("E7b", "cross-slot edge products: 5 per pentagon, 1 per four-hull",
-       agg.sum_gamma_cross, 5 * t5.pentagon + t5.four_hull)
-    eq("E8a", "same-slot corner pairs: 1 per four-hull, 2 per three-hull",
-       agg.sum_beta_pair_binom, t5.four_hull + 2 * t5.three_hull)
-    eq("E8b", "cross-slot corner products: 1 per three-hull",
-       agg.sum_beta_cross, t5.three_hull)
-    eq("E9", "extending a quad by its n-4 remaining points, by 5-type",
-       (n - 4) * t4.quad,
-       5 * t5.pentagon + 3 * t5.four_hull + t5.three_hull)
-    eq("E10", "the 7 regions absorb all (n-3) points of every triangle",
-       agg.sum_interior + agg.sum_beta + agg.sum_gamma, (n - 3) * ntri)
-    eq("E11", "interior incidences mark each tridot exactly once",
-       agg.sum_interior, t4.tridot)
-
-    cs_lhs = (ntri * agg.sum_beta_gamma - agg.sum_beta * agg.sum_gamma) ** 2
-    cs_rhs = (ntri * agg.sum_beta_sq - agg.sum_beta**2) * (
-        ntri * agg.sum_gamma_sq - agg.sum_gamma**2
-    )
-    checks.append(
-        IdentityCheck(
-            "E12",
-            "squared covariance at most the product of variances",
-            cs_lhs,
-            cs_rhs,
-            cs_lhs <= cs_rhs,
-            relation="<=",
-        )
-    )
-
-    eq("E13", "centered edge second moment: 20 per pentagon, 6 per four-hull",
-       agg.sum_gamma_sq - agg.sum_gamma, 20 * t5.pentagon + 6 * t5.four_hull)
-    eq("E14", "centered corner second moment: 2 per four-hull, 6 per three-hull",
-       agg.sum_beta_sq - agg.sum_beta, 2 * t5.four_hull + 6 * t5.three_hull)
-    eq("E15", "4*mean corner + 3*mean edge totals = 3*(n-3)",
-       4 * Fraction(agg.sum_beta, ntri) + 3 * Fraction(agg.sum_gamma, ntri),
-       Fraction(3 * (n - 3)))
-
-    return IdentityReport(tuple(checks))
+    return IdentityReport(identity_checks(agg, t4, t5))
 
 
 def stats(agg: AggregateSums, t5: TypeCounts5) -> StatsSummary:

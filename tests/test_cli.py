@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -246,6 +248,22 @@ def test_corrupt_rank_table_exits_1(parabola7_file, capsys, monkeypatch):
     assert main(["count", parabola7_file, "--engine", "regions"]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("inconsistency: ") and "lost a point" in err
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "bound"])
+def test_corrupt_sum_exits_1_naming_the_equation(parabola7_file, command, capsys, monkeypatch):
+    aggregate_regions = cli.aggregate_regions
+
+    def corrupt(placement):
+        agg = aggregate_regions(placement)
+        return dataclasses.replace(agg, sum_gamma_sq=agg.sum_gamma_sq + 1)
+
+    monkeypatch.setattr(cli, "aggregate_regions", corrupt)
+    assert main([command, parabola7_file]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconsistency: ")
+    assert re.findall(r"\bE\d+[ab]?\b", lines[0]) == ["E13"]
 
 
 def test_count_naive_above_size_limit_exits_2(tmp_path, capsys, monkeypatch):

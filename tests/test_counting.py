@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import combinations
 from math import comb
 
@@ -388,26 +389,34 @@ def test_delta_count5_index_validation():
         delta_count5(p, -1)
 
 
-def _corrupt(agg: AggregateSums, **changes: int) -> AggregateSums:
-    return dataclasses.replace(agg, **changes)
-
-
-def test_count4_rejects_corrupted_sums():
+@pytest.mark.parametrize(
+    "field, delta",
+    [(f.name, 1) for f in dataclasses.fields(AggregateSums) if f.name != "n"]
+    + [("sum_gamma_cross", 5), ("sum_beta_cross", 3)],
+)
+def test_derivations_reject_corrupted_sums(field, delta):
+    """Both derivations refuse every corrupted sum and name the equations
+    that verify_identities reports failing on the floored counts."""
     agg = aggregate_regions(random_disc(8, seed=11))
-    with pytest.raises(InconsistentCountsError):
-        count4_from_regions(_corrupt(agg, sum_gamma=agg.sum_gamma + 1))
-    with pytest.raises(InconsistentCountsError):
-        count4_from_regions(_corrupt(agg, sum_interior=agg.sum_interior + 1))
+    bad = dataclasses.replace(agg, **{field: getattr(agg, field) + delta})
+    a, b = bad.sum_gamma_pair_binom, bad.sum_gamma_cross
+    t4 = TypeCounts4(bad.sum_gamma // 4, bad.sum_beta // 3)
+    t5 = TypeCounts5((2 * b - a) // 5, a - b, bad.sum_beta_cross)
+    failing = [c.id for c in verify_identities(bad, t4, t5).checks if not c.passed]
+    assert failing
+    for derive in (count4_from_regions, count5_from_regions):
+        with pytest.raises(InconsistentCountsError) as exc:
+            derive(bad)
+        assert re.findall(r"\bE\d+[ab]?\b", str(exc.value)) == failing
 
 
-def test_count5_rejects_corrupted_sums():
-    agg = aggregate_regions(random_disc(8, seed=11))
-    bad_fields = [
-        {"sum_gamma_cross": agg.sum_gamma_cross + 5},
-        {"sum_beta_gamma": agg.sum_beta_gamma + 1},
-        {"sum_beta_pair_binom": agg.sum_beta_pair_binom + 1},
-        {"sum_beta_cross": agg.sum_beta_cross + 3},
-    ]
-    for changes in bad_fields:
-        with pytest.raises(InconsistentCountsError):
-            count5_from_regions(_corrupt(agg, **changes))
+def test_derivations_reject_negative_counts():
+    """Sums that satisfy all of E1-E15 but give four_hull = -2."""
+    agg = AggregateSums(5, sum_beta=12, sum_gamma=4, sum_beta_sq=20, sum_gamma_sq=12,
+                        sum_beta_gamma=0, sum_gamma_pair_binom=1, sum_gamma_cross=3,
+                        sum_beta_pair_binom=2, sum_beta_cross=2, sum_interior=4)
+    t4, t5 = TypeCounts4(1, 4), TypeCounts5(1, -2, 2)
+    assert verify_identities(agg, t4, t5).all_pass
+    for derive in (count4_from_regions, count5_from_regions):
+        with pytest.raises(InconsistentCountsError, match="negative"):
+            derive(agg)

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the sources in src/."""
+"""Every demo script, and the README's library quick start, runs to completion
+against the sources in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,17 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's library quick start runs, and its commented pentagon
+    count is the one it computes."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    claimed = re.search(r"pentagon=(\d+)", block)
+    assert claimed and scope["t5"].pentagon == int(claimed.group(1))
+    assert scope["report"].all_pass
+    capsys.readouterr()
