@@ -31,7 +31,6 @@ from .geometry import (
     COORD_BOUND,
     InvalidPlacementError,
     ParseError,
-    Placement,
     ValidationError,
     load_placement,
     save_placement,
@@ -130,19 +129,6 @@ def _identities_json(report) -> dict:
     }
 
 
-def _report_skeleton(n: int, engine: str) -> dict:
-    return {
-        "n": n,
-        "engine": engine,
-        "counts4": None,
-        "counts5": None,
-        "stats": None,
-        "identities": None,
-        "bound": None,
-        "timings": {},
-    }
-
-
 def _render_fraction_text(obj: dict) -> str:
     return f"{obj['exact']} ({obj['float']:.6g})"
 
@@ -198,45 +184,6 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(_render_text(report))
 
 
-def _load(path: str) -> Placement:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_placement(fh)
-
-
-def _count_with_engine(placement: Placement, engine: str):
-    """Counts plus aggregate sums and phase timings for one engine choice.
-
-    naive, and auto for small n, check the region engine's counts against
-    the naive engines; any disagreement raises InconsistentCountsError.
-    """
-    if engine == "naive" and placement.n > NAIVE_ENGINE_MAX_N:
-        raise ValueError(
-            f"--engine naive needs n <= {NAIVE_ENGINE_MAX_N}, got {placement.n}; "
-            "use --engine regions"
-        )
-    timings = {}
-    t0 = time.perf_counter()
-    agg = aggregate_regions(placement)
-    timings["aggregate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    t4_regions = count4_from_regions(agg)
-    t5_regions = count5_from_regions(agg)
-    timings["derive"] = time.perf_counter() - t0
-
-    if engine == "naive" or (engine == "auto" and 5 <= placement.n <= NAIVE_CHECK_MAX_N):
-        t0 = time.perf_counter()
-        t4_naive = count4_naive(placement) if placement.n >= 4 else TypeCounts4(0, 0)
-        t5_naive = count5_naive(placement) if placement.n >= 5 else TypeCounts5(0, 0, 0)
-        timings["naive"] = time.perf_counter() - t0
-        if t4_naive != t4_regions or t5_naive != t5_regions:
-            raise InconsistentCountsError(
-                f"engine mismatch: naive {(t4_naive, t5_naive)} vs "
-                f"regions {(t4_regions, t5_regions)}"
-            )
-    return t4_regions, t5_regions, agg, timings
-
-
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(
         _GEN_KINDS[args.kind], args.n, seed=args.seed, coord_bound=args.bound
@@ -251,30 +198,57 @@ def cmd_gen(args) -> int:
 
 
 def cmd_request(args) -> int:
-    """count, verify and bound: load and count the file, add the command's
-    own section, then fill the shared sections and emit the report."""
-    t0 = time.perf_counter()
-    placement = _load(args.file)
-    parse_time = time.perf_counter() - t0
+    """count, verify and bound: load and count the file, replay the naive
+    engines for --engine naive and for auto at 5 <= n <= NAIVE_CHECK_MAX_N
+    (a disagreement raises InconsistentCountsError), add the command's own
+    section and emit the report, with each phase's seconds in its timings."""
+    timings = {}
 
-    report = _report_skeleton(placement.n, args.engine)
-    t4, t5, agg, timings = _count_with_engine(placement, args.engine)
+    def timed(phase, work):
+        t0 = time.perf_counter()
+        result = work()
+        timings[phase] = time.perf_counter() - t0
+        return result
+
+    def load():
+        with open(args.file, "r", encoding="ascii") as fh:
+            return load_placement(fh)
+
+    placement = timed("parse", load)
+    n, engine = placement.n, args.engine
+    if engine == "naive" and n > NAIVE_ENGINE_MAX_N:
+        raise ValueError(
+            f"--engine naive needs n <= {NAIVE_ENGINE_MAX_N}, got {n}; "
+            "use --engine regions"
+        )
+    agg = timed("aggregate", lambda: aggregate_regions(placement))
+    counts = timed("derive", lambda: (count4_from_regions(agg), count5_from_regions(agg)))
+    if engine == "naive" or (engine == "auto" and 5 <= n <= NAIVE_CHECK_MAX_N):
+        naive = timed("naive", lambda: (
+            count4_naive(placement) if n >= 4 else TypeCounts4(0, 0),
+            count5_naive(placement) if n >= 5 else TypeCounts5(0, 0, 0),
+        ))
+        if naive != counts:
+            raise InconsistentCountsError(f"engine mismatch: naive {naive} vs regions {counts}")
+    t4, t5 = counts
+    report = {
+        "n": n,
+        "engine": engine,
+        "counts4": _json(t4),
+        "counts5": _json(t5),
+        "stats": _json(stats(agg, t5)),
+        "identities": None,
+        "bound": None,
+        "timings": timings,
+    }
     code = EXIT_OK
-    t0 = time.perf_counter()
     if args.command == "verify":
-        ident = verify_identities(agg, t4, t5)
+        ident = timed("verify", lambda: verify_identities(agg, t4, t5))
         report["identities"] = _identities_json(ident)
         code = EXIT_OK if ident.all_pass else EXIT_FAIL
     elif args.command == "bound":
-        report["bound"] = _json(bound_report(agg))
+        report["bound"] = _json(timed("bound", lambda: bound_report(agg)))
         del report["bound"]["n"]  # already at the top level
-    if args.command != "count":
-        timings[args.command] = time.perf_counter() - t0
-
-    report["counts4"] = _json(t4)
-    report["counts5"] = _json(t5)
-    report["stats"] = _json(stats(agg, t5))
-    report["timings"] = {"parse": parse_time, **timings}
     _emit(report, args.format)
     return code
 

@@ -203,7 +203,7 @@ class AnnealConfig:
     """Budget and schedule of the pentagon minimizer.
 
     Each restart runs `iterations` proposals from a fresh random placement;
-    temperature starts at INITIAL_TEMP and decays by COOLING per proposal.
+    temperature starts at INITIAL_TEMP and each step cools it by COOLING.
     Moves resample one point: with probability GLOBAL_MOVE_PROB uniformly in
     the full box of half-side coord_bound, otherwise inside a box of
     half-side max(2, coord_bound // 8) around the current position.  Every
@@ -268,7 +268,8 @@ class _Chain:
     u with the candidate's pair counts, as it rewrites the sign tensor's
     three slices with the candidate's pair signs.  Those signs come from
     ``_kernels.candidate_signs``, which rejects a candidate collinear with
-    two fixed points or equal to one.
+    two fixed points or equal to one.  A ``step`` cools the temperature by
+    COOLING itself, moved or not, after reading it for its Metropolis test.
     The chain start and every recount read the pentagon count and the
     completion table off one ``_kernels.triangle_regions`` pass and check
     them against each other; a recount also rebuilds the sign tensor.
@@ -278,7 +279,6 @@ class _Chain:
         self.cfg = cfg
         self.rng = rng
         self.n = placement.n
-        self.points: List[Point] = list(placement.points)
         self.coords = np.array(placement.coords, dtype=np.int64)
         self.signs = _kernels.full_sign_tensor(self.coords)
         self.temp = INITIAL_TEMP
@@ -315,17 +315,18 @@ class _Chain:
             x = int(self.rng.integers(-bound, bound + 1))
             y = int(self.rng.integers(-bound, bound + 1))
         else:
-            px, py = self.points[u]
+            px, py = self.coords[u].tolist()
             d = max(2, bound // 8)
             x = min(bound, max(-bound, px + int(self.rng.integers(-d, d + 1))))
             y = min(bound, max(-bound, py + int(self.rng.integers(-d, d + 1))))
         return Point(x, y)
 
     def step(self) -> None:
+        temp = self.temp
+        self.temp = temp * COOLING
         u = int(self.rng.integers(self.n))
         cand = self._propose_point(u)
-        old = self.points[u]
-        if cand == old:
+        if cand == tuple(self.coords[u].tolist()):
             return
         pair_new = _kernels.candidate_signs(self.coords, u, cand)
         if pair_new is None:
@@ -334,7 +335,7 @@ class _Chain:
         self._pairs[1] = self.signs[:, :, u]
         delta, t, te = _kernels.pentagon_pair_delta(self.signs, self._pairs, self.completion)
         if delta > 0:
-            if self.temp <= 0 or self.rng.random() >= exp(-delta / self.temp):
+            if temp <= 0 or self.rng.random() >= exp(-delta / temp):
                 return
         self.completion += t[0] - t[1]
         self.completion[u, :, :] = te[0]
@@ -344,7 +345,6 @@ class _Chain:
         self.signs[:, u, :] = -pair_new
         self.signs[:, :, u] = pair_new
         self.coords[u] = cand
-        self.points[u] = cand
         self.current += delta
         self.accepted += 1
         if self.accepted % RECOUNT_EVERY == 0:
@@ -368,9 +368,6 @@ class _Chain:
                 f"{self.accepted} accepted moves"
             )
 
-    def cool(self) -> None:
-        self.temp *= COOLING
-
 
 def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
     """Simulated annealing over single-point moves, minimizing the pentagon
@@ -379,7 +376,7 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.restarts)
 
-    best_points: Optional[Tuple[Point, ...]] = None
+    best_coords: Optional[np.ndarray] = None
     best = -1
     trace: List[Tuple[int, int, int]] = []
     restart_bests: List[int] = []
@@ -394,30 +391,29 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
         )
         chain = _Chain(start, rng, cfg)
         restart_best = chain.current
-        if best_points is None or chain.current < best:
+        if best_coords is None or chain.current < best:
             best = chain.current
-            best_points = tuple(chain.points)
+            best_coords = chain.coords.copy()
             trace.append((r, 0, best))
             done = cfg.target is not None and best <= cfg.target
         for it in range(cfg.iterations):
             if done:
                 break
             chain.step()
-            chain.cool()
             used += 1
             if chain.current < restart_best:
                 restart_best = chain.current
             if chain.current < best:
                 best = chain.current
-                best_points = tuple(chain.points)
+                best_coords = chain.coords.copy()
                 trace.append((r, it + 1, best))
                 done = cfg.target is not None and best <= cfg.target
         restart_bests.append(restart_best)
         if done:
             break
 
-    assert best_points is not None
-    final = Placement.from_points(best_points)
+    assert best_coords is not None
+    final = Placement.from_points(best_coords.tolist())
     recount = count5_from_regions(aggregate_regions(final)).pentagon
     if recount != best:
         raise InconsistentCountsError(

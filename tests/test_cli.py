@@ -5,6 +5,7 @@ import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from convexcount import (
     COORD_BOUND,
     Placement,
-    TypeCounts5,
     dumps_placement,
     find_violation,
     load_placement,
@@ -230,10 +230,30 @@ def test_count_missing_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_count_engine_mismatch_exits_1(parabola7_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count5_naive", lambda p: TypeCounts5(999, 0, 0))
-    assert main(["count", parabola7_file, "--engine", "naive"]) == 1
-    capsys.readouterr()
+def test_count_engine_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    # the naive replay finds one pentagon too many: every request that runs
+    # it fails with one line naming both engines' counts
+    count5_naive = cli.count5_naive
+
+    def one_too_many(placement):
+        counts = count5_naive(placement)
+        return dataclasses.replace(counts, pentagon=counts.pentagon + 1)
+
+    monkeypatch.setattr(cli, "count5_naive", one_too_many)
+    paths = {n: _write(tmp_path, f"p{n}.txt", dumps_placement(parabola(n)))
+             for n in (5, 7, 11, 12)}
+    for n, engine, code in [(7, "naive", 1), (5, "auto", 1), (11, "auto", 1),
+                            (12, "auto", 0), (7, "regions", 0)]:
+        assert main(["count", paths[n], "--engine", engine]) == code, (n, engine)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert f"pentagon={comb(n, 5)}" in out and err == ""
+            continue
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1
+        assert lines[0].startswith("inconsistency: engine mismatch: naive ")
+        assert f"pentagon={comb(n, 5) + 1}" in lines[0]
+        assert f"vs regions (TypeCounts4(quad={comb(n, 4)}, tridot=0), " in lines[0]
 
 
 def test_corrupt_rank_table_exits_1(parabola7_file, capsys, monkeypatch):
@@ -264,6 +284,61 @@ def test_corrupt_sum_exits_1_naming_the_equation(parabola7_file, command, capsys
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("inconsistency: ")
     assert re.findall(r"\bE\d+[ab]?\b", lines[0]) == ["E13"]
+
+
+TIMINGS = ["parse", "aggregate", "derive"]
+
+
+@pytest.mark.parametrize(
+    "n, argv, keys",
+    [
+        (7, ["count", "--engine", "naive"], TIMINGS + ["naive"]),
+        (7, ["count", "--engine", "regions"], TIMINGS),
+        (7, ["count", "--engine", "auto"], TIMINGS + ["naive"]),
+        (12, ["count", "--engine", "auto"], TIMINGS),
+        # the naive replay reads zero counts below its subset size
+        (3, ["count", "--engine", "naive"], TIMINGS + ["naive"]),
+        (4, ["count", "--engine", "naive"], TIMINGS + ["naive"]),
+        (7, ["verify"], TIMINGS + ["verify"]),
+        (7, ["bound"], TIMINGS + ["bound"]),
+    ],
+    ids=["naive", "regions", "auto7", "auto12", "naive3", "naive4", "verify", "bound"],
+)
+def test_timings_keys(tmp_path, n, argv, keys, capsys):
+    path = _write(tmp_path, "p.txt", dumps_placement(parabola(n)))
+    assert main([argv[0], path, *argv[1:], "--format", "json"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert list(timings) == keys
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+    assert main([argv[0], path, *argv[1:]]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert re.findall(r"(\w+)=\d+\.\d{4}s", line) == keys
+
+
+# The cli globals that benchmark/tracer.py wraps by name to time each layer
+# of a request; a request that stops calling one through cli leaves that
+# per-layer metric at zero without any failure.
+TRACED_CLI_NAMES = (
+    "load_placement", "aggregate_regions", "count4_from_regions", "count5_from_regions",
+    "count4_naive", "count5_naive", "verify_identities", "stats", "bound_report",
+)
+
+
+def test_requests_call_every_traced_cli_name(parabola7_file, capsys, monkeypatch):
+    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in TRACED_CLI_NAMES:
+        monkeypatch.setattr(cli, name, counter(name, getattr(cli, name)))
+    for request in (["count", "--engine", "naive"], ["verify"], ["bound"]):
+        assert main([request[0], parabola7_file, *request[1:]]) == 0
+    capsys.readouterr()
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_count_naive_above_size_limit_exits_2(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 from itertools import combinations, permutations, product
+from math import exp
 
 import numpy as np
 import pytest
@@ -403,7 +404,6 @@ def test_completion_table_tracks_every_accepted_move(n, monkeypatch):
     for _ in range(60 if n == 30 else 300):
         before = chain.accepted
         chain.step()
-        chain.cool()
         if chain.accepted == before:
             continue
         checked += 1
@@ -413,7 +413,7 @@ def test_completion_table_tracks_every_accepted_move(n, monkeypatch):
             assert np.array_equal(table, table.transpose(axes))
         i = np.arange(n)
         assert not (table[i, i, :].any() or table[i, :, i].any() or table[:, i, i].any())
-        placement = Placement(tuple(chain.points))
+        placement = Placement(tuple(Point(x, y) for x, y in chain.coords.tolist()))
         fresh = _Chain(placement, np.random.default_rng(0), cfg)
         assert np.array_equal(table, fresh.completion)
         assert fresh.current == chain.current
@@ -506,7 +506,8 @@ def test_minimize_matches_pinned_result_in_a_small_box():
 def test_step_rejects_degenerate_candidates(monkeypatch):
     cfg = AnnealConfig(n=8, iterations=1, seed=2, coord_bound=1000)
     chain = _Chain(random_disc(8, seed=6), np.random.default_rng(4), cfg)
-    points = list(chain.points)
+    coords = chain.coords.copy()
+    points = [Point(x, y) for x, y in coords.tolist()]
     signs = chain.signs.copy()
     before = (chain.current, chain.accepted)
 
@@ -522,11 +523,57 @@ def test_step_rejects_degenerate_candidates(monkeypatch):
 
     for propose in (other, collinear, own):
         monkeypatch.setattr(chain, "_propose_point", propose)
+        temp = chain.temp
         chain.step()
-        assert chain.points == points
+        # a rejected proposal still cools the chain
+        assert chain.temp == temp * search.COOLING
+        assert np.array_equal(chain.coords, coords)
         assert np.array_equal(chain.signs, signs)
         assert (chain.current, chain.accepted) == before
 
 
 def test_known_minimum_table():
     assert KNOWN_MIN_PENTAGONS == {16: 112, 18: 252}
+
+
+class _Draws:
+    """A stand-in for a chain's rng: every index draw names point u and every
+    uniform draw returns `uniform`."""
+
+    def __init__(self, u, uniform):
+        self.u, self.uniform = u, uniform
+
+    def integers(self, n):
+        return self.u
+
+    def random(self):
+        return self.uniform
+
+
+def test_step_tests_uphill_moves_before_cooling(monkeypatch):
+    cfg = AnnealConfig(n=8, iterations=1, seed=2, coord_bound=1000)
+    p = random_disc(8, seed=6)
+    u, before = 0, count5_naive(p).pentagon
+
+    def uphill():
+        for x, y in product(range(-900, 901, 300), repeat=2):
+            moved = p.points[:u] + (Point(x, y),) + p.points[u + 1:]
+            if find_violation(moved) is None:
+                delta = count5_naive(Placement(moved)).pentagon - before
+                if delta > 0:
+                    return Point(x, y), delta
+
+    cand, delta = uphill()
+    temp = 1.0
+    # the first draw is the acceptance bound at temp, the second lies between
+    # it and the bound at the cooled temperature
+    at_temp = exp(-delta / temp)
+    between = (at_temp + exp(-delta / (temp * search.COOLING))) / 2
+    for uniform, accepted in ((at_temp, 0), (between, 1)):
+        chain = _Chain(p, _Draws(u, uniform), cfg)
+        chain.temp = temp
+        monkeypatch.setattr(chain, "_propose_point", lambda u: cand)
+        chain.step()
+        assert chain.accepted == accepted
+        assert chain.current == before + accepted * delta
+        assert chain.temp == temp * search.COOLING
