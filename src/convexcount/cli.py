@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .counting import (
     InconsistentCountsError,
@@ -74,29 +75,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(minimum: int):
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse type: an int at least low, and at most high if given."""
+    limit = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must {limit}, got {value}")
         return value
 
     return convert
-
-
-def _bound_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 3 <= value <= COORD_BOUND:
-        raise argparse.ArgumentTypeError(
-            f"bound must lie in [3, {COORD_BOUND}], got {value}"
-        )
-    return value
 
 
 def _json(value):
@@ -136,14 +128,11 @@ def _render_fraction_text(obj: dict) -> str:
 def _render_text(report: dict) -> str:
     lines = [f"n: {report['n']}", f"engine: {report['engine']}"]
     for section in ("counts4", "counts5"):
-        if report[section] is not None:
-            counts = " ".join(f"{k}={v}" for k, v in report[section].items())
-            lines.append(f"{section}: {counts}")
-    st = report["stats"]
-    if st is not None:
-        lines.append("stats:")
-        for key, value in st.items():
-            lines.append(f"  {key}: {_render_fraction_text(value)}")
+        counts = " ".join(f"{k}={v}" for k, v in report[section].items())
+        lines.append(f"{section}: {counts}")
+    lines.append("stats:")
+    for key, value in report["stats"].items():
+        lines.append(f"  {key}: {_render_fraction_text(value)}")
     ident = report["identities"]
     if ident is not None:
         lines.append(f"identities: all_pass={'yes' if ident['all_pass'] else 'NO'}")
@@ -159,21 +148,16 @@ def _render_text(report: dict) -> str:
         lines.append(f"  pentagon: {br['pentagon']}")
         for key in ("c5_estimate", "x_p", "mean_gamma"):
             lines.append(f"  {key}: {_render_fraction_text(br[key])}")
-        if br["degenerate_gamma"]:
-            lines.append("  rhs_gamma: degenerate (mean_gamma = 0)")
-        else:
-            lines.append(f"  rhs_gamma: {_render_fraction_text(br['rhs_gamma'])}")
-            lines.append(f"  amgm_ok: {br['amgm_ok']}")
-            lines.append(f"  ratio_xp_rhs: {br['ratio_xp_rhs']}")
+        lines.append(f"  rhs_gamma: {_render_fraction_text(br['rhs_gamma'])}")
+        lines.append(f"  amgm_ok: {br['amgm_ok']}")
+        lines.append(f"  ratio_xp_rhs: {br['ratio_xp_rhs']}")
         for key in ("rhs_const", "tracker_gamma_sums", "tracker_gamma_stats",
                     "tracker_beta_stats", "slack_cov_bound", "mu5_lower_thm"):
             lines.append(f"  {key}: {br[key]}")
         lines.append(f"  c5_lower_const: {br['c5_lower_const']:.12f}")
         lines.append(f"  mu5_coeff: {br['mu5_coeff']:.12e}")
-    timings = report["timings"]
-    if timings:
-        parts = " ".join(f"{k}={v:.4f}s" for k, v in timings.items())
-        lines.append(f"timings: {parts}")
+    parts = " ".join(f"{k}={v:.4f}s" for k, v in report["timings"].items())
+    lines.append(f"timings: {parts}")
     return "\n".join(lines) + "\n"
 
 
@@ -293,9 +277,9 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a placement file")
     p_gen.add_argument("--kind", choices=sorted(_GEN_KINDS), default="random")
-    p_gen.add_argument("--n", type=_int_at_least(3), required=True)
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_gen.add_argument("--bound", type=_bound_type, default=COORD_BOUND)
+    p_gen.add_argument("--n", type=_int_in(3), required=True)
+    p_gen.add_argument("--seed", type=_int_in(0), default=0)
+    p_gen.add_argument("--bound", type=_int_in(3, COORD_BOUND), default=COORD_BOUND)
     p_gen.add_argument("-o", "--output", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -316,12 +300,12 @@ def build_parser() -> _Parser:
     p_bound.set_defaults(func=cmd_request, engine="regions")
 
     p_min = sub.add_parser("minimize", help="search for a low-pentagon placement")
-    p_min.add_argument("--n", type=_int_at_least(5), required=True)
-    p_min.add_argument("--iters", type=_int_at_least(1), default=60_000)
-    p_min.add_argument("--restarts", type=_int_at_least(1), default=4)
-    p_min.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_min.add_argument("--bound", type=_bound_type, default=10_000)
-    p_min.add_argument("--target", type=_int_at_least(0))
+    p_min.add_argument("--n", type=_int_in(5), required=True)
+    p_min.add_argument("--iters", type=_int_in(1), default=60_000)
+    p_min.add_argument("--restarts", type=_int_in(1), default=4)
+    p_min.add_argument("--seed", type=_int_in(0), default=0)
+    p_min.add_argument("--bound", type=_int_in(3, COORD_BOUND), default=10_000)
+    p_min.add_argument("--target", type=_int_in(0))
     p_min.add_argument("-o", "--output", metavar="FILE")
     p_min.set_defaults(func=cmd_minimize)
 

@@ -24,12 +24,7 @@ from math import comb
 from typing import Iterator, List, Tuple, Union
 
 from . import _kernels
-from .classification import (
-    RegionKind,
-    TriangleRef,
-    Type5,
-    classify_region,
-)
+from .classification import RegionKind, TriangleRef, classify_region
 from .geometry import CollinearError, InconsistentCountsError, Placement
 
 
@@ -297,8 +292,6 @@ def aggregate_regions(placement: Placement) -> AggregateSums:
     ints.  CollinearError names the first collinear triple, if there is one.
     """
     n = placement.n
-    if n < 3:
-        raise ValueError(f"aggregation needs n >= 3, got {n}")
     if n > MAX_AGGREGATE_N:
         raise ValueError(
             f"aggregation is exact in int64 only for n <= {MAX_AGGREGATE_N}, got {n}"

@@ -358,20 +358,15 @@ def load_placement(source: Union[IO, str, bytes]) -> Placement:
 
 def dumps_placement(placement: Placement) -> str:
     """Serialize to the canonical text format (no comments)."""
-    if len(placement.points) < 3:
-        raise InvalidPlacementError("cannot save a placement with fewer than 3 points")
     out = [str(placement.n)]
     out.extend(f"{p[0]} {p[1]}" for p in placement.points)
     return "\n".join(out) + "\n"
 
 
 def save_placement(placement: Placement, sink: IO, comment: Optional[str] = None) -> None:
-    """Write the placement; round-trips with load_placement byte-for-byte
-    modulo comment lines."""
+    """Write the placement to a text sink; round-trips with load_placement
+    byte-for-byte modulo comment lines."""
     text = dumps_placement(placement)
     if comment:
         text = "".join(f"# {ln}\n" for ln in comment.splitlines()) + text
-    try:
-        sink.write(text)
-    except TypeError:
-        sink.write(text.encode("ascii"))
+    sink.write(text)

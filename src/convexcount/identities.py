@@ -7,8 +7,10 @@ general position; a failed check on valid input always means
 an implementation bug, never a property of the placement.  All comparisons
 are exact: integers stay arbitrary-precision ints and every average,
 variance, and covariance is a Fraction.  Floating point appears only in the
-asymptotic tracker ratios and the covariance slack, which involve square
-roots and are reported, never asserted.
+bound report's float fields: the terms built on sqrt(5) or on a standard
+deviation (rhs_const, the covariance slack, mu5_lower_thm and the two
+constants) and the float ratios of exact values (ratio_xp_rhs and the three
+trackers).  They are reported, never asserted.
 """
 
 from __future__ import annotations
@@ -71,12 +73,16 @@ class BoundReport:
     """Evaluation of the pentagon-density lower-bound chain on one placement.
 
     Exact fields: c5_estimate = pentagon / C(n,5); x_p = 960*pentagon/n^3;
-    rhs_gamma = n*(25*g^2 - 22*n*g + 5*n^2)/g with g the mean edge-region
-    total (None when g = 0, flagged degenerate); amgm_ok is the exact
-    comparison rhs_gamma >= (10*sqrt(5)-22)*n^2, decided in integers.
+    rhs_gamma = n*(25*g^2 - 22*n*g + 5*n^2)/g with g = 4*quad/C(n,3) the
+    mean edge-region total; amgm_ok is the exact comparison
+    rhs_gamma >= (10*sqrt(5)-22)*n^2, decided in integers.  Every placement
+    of n >= 5 points has g > 0, since any 5 of its points contain a convex
+    quad (Klein), and then rhs_gamma > 0, since the quadratic
+    25g^2 - 22ng + 5n^2 has negative discriminant -16n^2.
 
-    Float fields: rhs_const = (10*sqrt(5)-22)*n^2; the asymptotic trackers
-    (each should drift toward 1 on dense well-behaved families) and the
+    Float fields: rhs_const = (10*sqrt(5)-22)*n^2; ratio_xp_rhs = x_p /
+    rhs_gamma; the asymptotic trackers (each should drift toward 1 on dense
+    well-behaved families, None when its denominator is 0) and the
     covariance slack; mu5_lower_thm = (5*sqrt(5)-11)/480 * n^5 and the two
     universal constants.
     """
@@ -86,11 +92,10 @@ class BoundReport:
     c5_estimate: Fraction
     x_p: Fraction
     mean_gamma: Fraction
-    degenerate_gamma: bool
-    rhs_gamma: Optional[Fraction]
+    rhs_gamma: Fraction
     rhs_const: float
-    amgm_ok: Optional[bool]
-    ratio_xp_rhs: Optional[float]
+    amgm_ok: bool
+    ratio_xp_rhs: float
     tracker_gamma_sums: Optional[float]
     tracker_gamma_stats: Optional[float]
     tracker_beta_stats: Optional[float]
@@ -126,7 +131,9 @@ def stats(agg: AggregateSums, t5: TypeCounts5) -> StatsSummary:
 
 def bound_report(agg: AggregateSums) -> BoundReport:
     """Evaluate the pentagon lower-bound chain on the placement whose
-    region sums are agg."""
+    region sums are agg, for n >= 5.  Raises InconsistentCountsError on
+    sums that fail E1-E15, so the mean edge-region total g and rhs_gamma
+    are positive (see BoundReport)."""
     n = agg.n
     if n < 5:
         raise ValueError(f"the bound chain needs n >= 5, got {n}")
@@ -135,21 +142,16 @@ def bound_report(agg: AggregateSums) -> BoundReport:
 
     pentagon = t5.pentagon
     c5_estimate = Fraction(pentagon, comb(n, 5))
+    # g > 0 on sums that passed: quad = 0 would make E9 read
+    # 0 = 5*pentagon + 3*four_hull + three_hull, so every count would be 0
+    # (none is negative), against E6's C(n,5) > 0.
     g = st.mean_gamma
-    degenerate = g == 0
     rhs_const = RHS_CONST_COEFF * n * n
-
-    rhs_gamma: Optional[Fraction] = None
-    amgm_ok: Optional[bool] = None
-    ratio_xp_rhs: Optional[float] = None
-    if not degenerate:
-        rhs_gamma = n * (25 * g * g - 22 * n * g + 5 * n * n) / g
-        # exact test of rhs_gamma >= (10*sqrt(5) - 22)*n^2: both sides plus
-        # 22 n^2 are positive, so compare squares to avoid the irrational
-        shifted = rhs_gamma + 22 * n * n
-        amgm_ok = shifted > 0 and shifted * shifted >= 500 * n**4
-        if rhs_gamma != 0:
-            ratio_xp_rhs = float(st.x_p / rhs_gamma)
+    rhs_gamma = n * (25 * g * g - 22 * n * g + 5 * n * n) / g
+    # exact test of rhs_gamma >= (10*sqrt(5) - 22)*n^2: both sides plus
+    # 22 n^2 are positive, so compare squares to avoid the irrational
+    shifted = rhs_gamma + 22 * n * n
+    amgm_ok = shifted * shifted >= 500 * n**4
 
     # Tracker denominators as exact rationals; each tracker is the float
     # ratio of the normalized pentagon count to its quadratic predictor.
@@ -174,11 +176,10 @@ def bound_report(agg: AggregateSums) -> BoundReport:
         c5_estimate=c5_estimate,
         x_p=st.x_p,
         mean_gamma=g,
-        degenerate_gamma=degenerate,
         rhs_gamma=rhs_gamma,
         rhs_const=rhs_const,
         amgm_ok=amgm_ok,
-        ratio_xp_rhs=ratio_xp_rhs,
+        ratio_xp_rhs=float(st.x_p / rhs_gamma),
         tracker_gamma_sums=t1,
         tracker_gamma_stats=t2,
         tracker_beta_stats=t3,

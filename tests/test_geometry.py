@@ -118,6 +118,9 @@ def test_placement_construction_errors():
         Placement(((0, 0), (1, 1)))
     with pytest.raises(InvalidPlacementError):
         Placement(((0, 0), (1, 1), (COORD_BOUND + 1, 0)))
+    for not_int in (1.0, True):
+        with pytest.raises(InvalidPlacementError, match="is not an int"):
+            Placement(((0, 0), (1, 1), (not_int, 0)))
     with pytest.raises(ValidationError) as exc:
         Placement((Point(0, 0), Point(1, 1), Point(0, 0)))
     assert exc.value.violation == Duplicate(0, 2)
@@ -191,6 +194,7 @@ def test_load_placement_comments_and_stream():
         "3\n0 0\n1\n0 1\n",
         f"3\n0 0\n{COORD_BOUND + 1} 0\n0 1\n",
         "2\n0 0\n1 0\n",
+        b"3\n0 0\n1 0\n0 \xff\n",
     ],
 )
 def test_load_placement_rejects_malformed(bad):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import comb, isclose, sqrt
 
@@ -9,6 +10,7 @@ from convexcount import (
     C5_LOWER_CONST,
     MU5_COEFF,
     RHS_CONST_COEFF,
+    InconsistentCountsError,
     aggregate_regions,
     bound_report,
     count4_naive,
@@ -143,7 +145,7 @@ def test_bound_report_parabola20():
     assert rep.pentagon == comb(20, 5)
     assert rep.c5_estimate == 1
     assert rep.mean_gamma == 17
-    assert not rep.degenerate_gamma
+    assert rep.mean_gamma > 0
     assert rep.rhs_gamma == Fraction(20 * (25 * 289 - 22 * 20 * 17 + 5 * 400), 17)
     assert rep.amgm_ok is True
     assert float(rep.rhs_gamma) >= rep.rhs_const > 0
@@ -171,6 +173,15 @@ def test_bound_report_needs_five_points():
     p = convexcount.Placement.from_points([(0, 0), (6, 0), (0, 6), (1, 1)])
     with pytest.raises(ValueError):
         bound_report(aggregate_regions(p))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_bound_report_refuses_sums_with_zero_mean_gamma(n):
+    # any 5 points in general position hold a convex quad, so sum_gamma = 0
+    # is corrupt at n >= 5 and the bound chain never divides by mean_gamma = 0
+    agg = dataclasses.replace(aggregate_regions(random_disc(n, seed=n)), sum_gamma=0)
+    with pytest.raises(InconsistentCountsError):
+        bound_report(agg)
 
 
 positive_fracs = st.fractions(

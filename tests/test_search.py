@@ -448,6 +448,10 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
     start = random_disc(9, seed=2, bound=200)
     chain = _Chain(start, np.random.default_rng(0), cfg)
     chain._verify_recount()
+    chain.current += 1
+    with pytest.raises(InconsistentCountsError, match="diverged from recount"):
+        chain._verify_recount()
+    chain.current -= 1
     # two completion entries off in opposite directions: the table's sum holds
     chain.completion[0, 1, 2] += 1
     chain.completion[0, 1, 3] -= 1
@@ -468,6 +472,20 @@ def test_chain_rejects_inconsistent_incidences(monkeypatch):
     monkeypatch.setattr(search, "count5_from_regions", off_by_one)
     with pytest.raises(InconsistentCountsError):
         _Chain(start, np.random.default_rng(0), cfg)
+
+
+def test_minimize_refuses_a_best_the_final_recount_contradicts(monkeypatch):
+    # every tracked delta one too low: the final recount of the best placement
+    # disagrees with the tracked best
+    pentagon_pair_delta = _kernels.pentagon_pair_delta
+
+    def one_low(*args):
+        delta, t, te = pentagon_pair_delta(*args)
+        return delta - 1, t, te
+
+    monkeypatch.setattr(_kernels, "pentagon_pair_delta", one_low)
+    with pytest.raises(InconsistentCountsError, match="does not match tracked best"):
+        minimize_pentagons(AnnealConfig(n=9, iterations=200, restarts=1))
 
 
 def _result_digest(res):
