@@ -20,8 +20,6 @@ from typing import Optional
 
 from .counting import (
     InconsistentCountsError,
-    TypeCounts4,
-    TypeCounts5,
     aggregate_regions,
     count4_from_regions,
     count4_naive,
@@ -183,9 +181,10 @@ def cmd_gen(args) -> int:
 
 def cmd_request(args) -> int:
     """count, verify and bound: load and count the file, replay the naive
-    engines for --engine naive and for auto at 5 <= n <= NAIVE_CHECK_MAX_N
-    (a disagreement raises InconsistentCountsError), add the command's own
-    section and emit the report, with each phase's seconds in its timings."""
+    engines (every n >= 3) for --engine naive and for auto at n <=
+    NAIVE_CHECK_MAX_N, add the command's own section and emit the report with
+    each phase's seconds.  A disagreement or a failed equation raises
+    InconsistentCountsError before the report, so an emitted report exits 0."""
     timings = {}
 
     def timed(phase, work):
@@ -195,7 +194,7 @@ def cmd_request(args) -> int:
         return result
 
     def load():
-        with open(args.file, "r", encoding="ascii") as fh:
+        with open(args.file, "rb") as fh:
             return load_placement(fh)
 
     placement = timed("parse", load)
@@ -207,11 +206,8 @@ def cmd_request(args) -> int:
         )
     agg = timed("aggregate", lambda: aggregate_regions(placement))
     counts = timed("derive", lambda: (count4_from_regions(agg), count5_from_regions(agg)))
-    if engine == "naive" or (engine == "auto" and 5 <= n <= NAIVE_CHECK_MAX_N):
-        naive = timed("naive", lambda: (
-            count4_naive(placement) if n >= 4 else TypeCounts4(0, 0),
-            count5_naive(placement) if n >= 5 else TypeCounts5(0, 0, 0),
-        ))
+    if engine == "naive" or (engine == "auto" and n <= NAIVE_CHECK_MAX_N):
+        naive = timed("naive", lambda: (count4_naive(placement), count5_naive(placement)))
         if naive != counts:
             raise InconsistentCountsError(f"engine mismatch: naive {naive} vs regions {counts}")
     t4, t5 = counts
@@ -225,16 +221,14 @@ def cmd_request(args) -> int:
         "bound": None,
         "timings": timings,
     }
-    code = EXIT_OK
     if args.command == "verify":
-        ident = timed("verify", lambda: verify_identities(agg, t4, t5))
-        report["identities"] = _identities_json(ident)
-        code = EXIT_OK if ident.all_pass else EXIT_FAIL
+        report["identities"] = _identities_json(
+            timed("verify", lambda: verify_identities(agg, t4, t5)))
     elif args.command == "bound":
         report["bound"] = _json(timed("bound", lambda: bound_report(agg)))
         del report["bound"]["n"]  # already at the top level
     _emit(report, args.format)
-    return code
+    return EXIT_OK
 
 
 def cmd_minimize(args) -> int:

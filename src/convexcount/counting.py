@@ -190,10 +190,9 @@ def _tridot_rows(points) -> Iterator[bytes]:
 
 def count4_naive(placement: Placement) -> TypeCounts4:
     """Classify every 4-subset directly.  The oracle engine: O(n^4) work in
-    pure Python, exact, with C(n, 3) bytes of orientation signs."""
+    pure Python, exact, with C(n, 3) bytes of orientation signs.  Counts
+    every n >= 3, zero below n = 4."""
     n = placement.n
-    if n < 4:
-        raise ValueError(f"4-subset counting needs n >= 4, got {n}")
     tridot = sum(row.count(1) for row in _tridot_rows(placement.points))
     return TypeCounts4(comb(n, 4) - tridot, tridot)
 
@@ -205,11 +204,9 @@ def count5_naive(placement: Placement) -> TypeCounts5:
     A 5-subset with hull size 5, 4 or 3 has 0, 2 or 4 tridot 4-subsets, so
     it is classified by the sum of its five 4-subsets' tridot flags.  The
     flags take one byte per 4-subset, in colex order: 27 KB at n = 30 and
-    3.9 MB at n = 100.
+    3.9 MB at n = 100.  Counts every n >= 3, zero below n = 5.
     """
     n = placement.n
-    if n < 5:
-        raise ValueError(f"5-subset counting needs n >= 5, got {n}")
     c2, c3, c4 = _binomials(n, 2), _binomials(n, 3), _binomials(n, 4)
     flag = b"".join(_tridot_rows(placement.points))
     by_tridots = [0] * 5

@@ -311,10 +311,11 @@ def _parse_int(token: str, where: str) -> int:
 def load_placement(source: Union[IO, str, bytes]) -> Placement:
     """Parse and validate a placement from the text format.
 
-    Format: optional comment lines starting with '#', then a line holding n,
-    then exactly n lines "x y" (single space, canonical decimal integers).
-    Raises ParseError on malformed input and ValidationError when the points
-    are not in general position.
+    Format: ASCII lines ending in LF, CRLF or CR: optional comment lines
+    starting with '#', then a line holding n, then exactly n lines "x y"
+    (single space, canonical decimal integers).  Raises ParseError on
+    malformed input and ValidationError when the points are not in general
+    position.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -326,7 +327,7 @@ def load_placement(source: Union[IO, str, bytes]) -> Placement:
         except UnicodeDecodeError as exc:
             raise ParseError(f"placement file is not ASCII: {exc}") from None
 
-    lines = data.split("\n")
+    lines = data.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     content = [ln for ln in lines if not ln.startswith("#")]

@@ -413,7 +413,8 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
             break
 
     assert best_coords is not None
-    final = Placement.from_points(best_coords.tolist())
+    # candidate_signs kept every move in general position; rank_tables rechecks
+    final = Placement(tuple(Point(x, y) for x, y in best_coords.tolist()))
     recount = count5_from_regions(aggregate_regions(final)).pentagon
     if recount != best:
         raise InconsistentCountsError(

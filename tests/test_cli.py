@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from convexcount import (
     COORD_BOUND,
+    ParseError,
     Placement,
     dumps_placement,
     find_violation,
@@ -221,6 +222,26 @@ def test_count_request_fuzz_exits_0_or_2(data):
     assert (code == 2) == err.getvalue().startswith("error: ")
 
 
+@pytest.mark.parametrize("data", [
+    b"3\r\n0 0\r\n6 0\r\n0 6\r\n",
+    b"3\r0 0\r6 0\r0 6\r",
+    b"3\n0 0\n6 0\n0 6",
+    b"3\n0 0\n6 0\n0 \xff\n",
+    b"\xef\xbb\xbf3\n0 0\n6 0\n0 6\n",
+], ids=["crlf", "cr", "no_final_newline", "byte_ff", "utf8_bom"])
+def test_cli_reads_a_file_as_load_placement_does(tmp_path, data, capsys):
+    path = tmp_path / "placement.txt"
+    path.write_bytes(data)
+    code = main(["count", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    try:
+        n = load_placement(path.read_bytes()).n
+    except ParseError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert code == 0 and json.loads(out)["n"] == n and err == ""
+
+
 def test_count_collinear_file_names_the_first_triple(tmp_path, capsys):
     # (5, 17) lies on the line y = 4x - 3 through (1, 1) and (3, 9)
     pts = [(i, i * i) for i in range(10)] + [(5, 17)]
@@ -245,9 +266,9 @@ def test_count_engine_mismatch_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "count5_naive", one_too_many)
     paths = {n: _write(tmp_path, f"p{n}.txt", dumps_placement(parabola(n)))
-             for n in (5, 7, 11, 12)}
-    for n, engine, code in [(7, "naive", 1), (5, "auto", 1), (11, "auto", 1),
-                            (12, "auto", 0), (7, "regions", 0)]:
+             for n in (4, 5, 7, 11, 12)}
+    for n, engine, code in [(7, "naive", 1), (4, "auto", 1), (5, "auto", 1),
+                            (11, "auto", 1), (12, "auto", 0), (7, "regions", 0)]:
         assert main(["count", paths[n], "--engine", engine]) == code, (n, engine)
         out, err = capsys.readouterr()
         if code == 0:
@@ -300,13 +321,16 @@ TIMINGS = ["parse", "aggregate", "derive"]
         (7, ["count", "--engine", "regions"], TIMINGS),
         (7, ["count", "--engine", "auto"], TIMINGS + ["naive"]),
         (12, ["count", "--engine", "auto"], TIMINGS),
-        # the naive replay reads zero counts below its subset size
+        # the naive engines count zero subsets below their subset size
         (3, ["count", "--engine", "naive"], TIMINGS + ["naive"]),
         (4, ["count", "--engine", "naive"], TIMINGS + ["naive"]),
+        (3, ["count", "--engine", "auto"], TIMINGS + ["naive"]),
+        (4, ["count", "--engine", "auto"], TIMINGS + ["naive"]),
         (7, ["verify"], TIMINGS + ["verify"]),
         (7, ["bound"], TIMINGS + ["bound"]),
     ],
-    ids=["naive", "regions", "auto7", "auto12", "naive3", "naive4", "verify", "bound"],
+    ids=["naive", "regions", "auto7", "auto12", "naive3", "naive4", "auto3", "auto4",
+         "verify", "bound"],
 )
 def test_timings_keys(tmp_path, n, argv, keys, capsys):
     path = _write(tmp_path, "p.txt", dumps_placement(parabola(n)))

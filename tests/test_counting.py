@@ -49,13 +49,16 @@ def test_count5_naive_examples(square_center, triangle_two_inside):
     assert count5_naive(parabola(7)) == TypeCounts5(comb(7, 5), 0, 0)
 
 
-def test_counts_require_enough_points():
-    tri = Placement.from_points([(0, 0), (6, 0), (0, 6)])
-    quad = Placement.from_points([(0, 0), (6, 0), (0, 6), (1, 1)])
-    with pytest.raises(ValueError):
-        count4_naive(tri)
-    with pytest.raises(ValueError):
-        count5_naive(quad)
+def test_engines_agree_below_subset_sizes():
+    # mu_k(n) is 0 below k: the naive engines count n = 3 and 4 like the region engine
+    triangle = [(0, 0), (6, 0), (0, 6)]
+    for points in (triangle, triangle + [(1, 1)], triangle + [(6, 6)]):
+        p = Placement.from_points(points)
+        agg = aggregate_regions(p)
+        t4, t5 = count4_naive(p), count5_naive(p)
+        assert t4 == count4_from_regions(agg) and t5 == count5_from_regions(agg)
+        assert sum(dataclasses.astuple(t4)) == comb(p.n, 4)
+        assert t5 == TypeCounts5(0, 0, 0)
 
 
 def test_region_counts_parabola():

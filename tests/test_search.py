@@ -29,7 +29,7 @@ from convexcount import (
     orientation,
     region_counts,
 )
-from convexcount import _kernels, search
+from convexcount import _kernels, geometry, search
 from convexcount.geometry import dumps_placement, find_violation
 from convexcount.search import CONSISTENCY_OK, KNOWN_MIN_PENTAGONS, MAX_ANNEAL_N, _Chain
 
@@ -486,6 +486,17 @@ def test_minimize_refuses_a_best_the_final_recount_contradicts(monkeypatch):
     monkeypatch.setattr(_kernels, "pentagon_pair_delta", one_low)
     with pytest.raises(InconsistentCountsError, match="does not match tracked best"):
         minimize_pentagons(AnnealConfig(n=9, iterations=200, restarts=1))
+
+
+def test_final_recount_sorts_the_keys_once(monkeypatch):
+    # the chain proves general position as it goes, so the final placement
+    # skips the load-time collinearity scan and only rank_tables sorts keys
+    def scan(coords):
+        raise AssertionError("the final recount rescanned for collinear triples")
+
+    monkeypatch.setattr(geometry, "_first_collinear", scan)
+    res = minimize_pentagons(AnnealConfig(n=9, iterations=200, restarts=2, seed=1))
+    assert res.best_pentagons == count5_naive(res.best_placement).pentagon
 
 
 def _result_digest(res):
