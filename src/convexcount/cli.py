@@ -119,18 +119,20 @@ def _identities_json(report) -> dict:
     }
 
 
-def _render_fraction_text(obj: dict) -> str:
-    return f"{obj['exact']} ({obj['float']:.6g})"
-
-
 def _render_text(report: dict) -> str:
     lines = [f"n: {report['n']}", f"engine: {report['engine']}"]
     for section in ("counts4", "counts5"):
         counts = " ".join(f"{k}={v}" for k, v in report[section].items())
         lines.append(f"{section}: {counts}")
-    lines.append("stats:")
-    for key, value in report["stats"].items():
-        lines.append(f"  {key}: {_render_fraction_text(value)}")
+
+    def walk(section):
+        lines.append(f"{section}:")
+        for key, value in report[section].items():
+            if isinstance(value, dict):  # an exact rational
+                value = f"{value['exact']} ({value['float']:.6g})"
+            lines.append(f"  {key}: {value}")
+
+    walk("stats")
     ident = report["identities"]
     if ident is not None:
         lines.append(f"identities: all_pass={'yes' if ident['all_pass'] else 'NO'}")
@@ -140,42 +142,28 @@ def _render_text(report: dict) -> str:
                 f"  {c['id']:<4} {status}  {c['lhs']} {c['relation']} {c['rhs']}"
                 f"  [{c['description']}]"
             )
-    br = report["bound"]
-    if br is not None:
-        lines.append("bound:")
-        lines.append(f"  pentagon: {br['pentagon']}")
-        for key in ("c5_estimate", "x_p", "mean_gamma"):
-            lines.append(f"  {key}: {_render_fraction_text(br[key])}")
-        lines.append(f"  rhs_gamma: {_render_fraction_text(br['rhs_gamma'])}")
-        lines.append(f"  amgm_ok: {br['amgm_ok']}")
-        lines.append(f"  ratio_xp_rhs: {br['ratio_xp_rhs']}")
-        for key in ("rhs_const", "tracker_gamma_sums", "tracker_gamma_stats",
-                    "tracker_beta_stats", "slack_cov_bound", "mu5_lower_thm"):
-            lines.append(f"  {key}: {br[key]}")
-        lines.append(f"  c5_lower_const: {br['c5_lower_const']:.12f}")
-        lines.append(f"  mu5_coeff: {br['mu5_coeff']:.12e}")
+    if report["bound"] is not None:
+        walk("bound")
     parts = " ".join(f"{k}={v:.4f}s" for k, v in report["timings"].items())
     lines.append(f"timings: {parts}")
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
+def _write(placement, output: Optional[str], comment: Optional[str] = None) -> None:
+    """Save a placement, under comment as '#' lines, to the file output or
+    to stdout."""
+    if output:
+        with open(output, "w", encoding="ascii") as fh:
+            save_placement(placement, fh, comment)
     else:
-        sys.stdout.write(_render_text(report))
+        save_placement(placement, sys.stdout, comment)
 
 
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(
         _GEN_KINDS[args.kind], args.n, seed=args.seed, coord_bound=args.bound
     )
-    placement = generate(spec)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            save_placement(placement, fh)
-    else:
-        save_placement(placement, sys.stdout)
+    _write(generate(spec), args.output)
     return EXIT_OK
 
 
@@ -227,7 +215,10 @@ def cmd_request(args) -> int:
     elif args.command == "bound":
         report["bound"] = _json(timed("bound", lambda: bound_report(agg)))
         del report["bound"]["n"]  # already at the top level
-    _emit(report, args.format)
+    if args.format == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        sys.stdout.write(_render_text(report))
     return EXIT_OK
 
 
@@ -241,20 +232,16 @@ def cmd_minimize(args) -> int:
         target=args.target,
     )
     result = minimize_pentagons(cfg)
-    print(f"n: {cfg.n}")
-    print(f"best_pentagons: {result.best_pentagons}")
-    print(f"iterations_used: {result.iterations_used}")
-    print(f"restart_bests: {', '.join(str(b) for b in result.restart_bests)}")
-    print(f"consistency: {result.consistency}")
-    if result.trace:
-        tail = result.trace[-5:]
-        print("trace_tail: " + "; ".join(
-            f"restart {r} step {i}: {b}" for r, i, b in tail))
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            save_placement(result.best_placement, fh)
-    else:
-        save_placement(result.best_placement, sys.stdout)
+    report = [
+        f"n: {cfg.n}",
+        f"best_pentagons: {result.best_pentagons}",
+        f"iterations_used: {result.iterations_used}",
+        f"restart_bests: {', '.join(str(b) for b in result.restart_bests)}",
+        f"consistency: {result.consistency}",
+        "trace_tail: " + "; ".join(
+            f"restart {r} step {i}: {b}" for r, i, b in result.trace[-5:]),
+    ]
+    _write(result.best_placement, args.output, "\n".join(report))
     return EXIT_FAIL if result.consistency == CONSISTENCY_VIOLATION else EXIT_OK
 
 
@@ -277,21 +264,19 @@ def build_parser() -> _Parser:
     p_gen.add_argument("-o", "--output", metavar="FILE")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_count = sub.add_parser("count", help="count subset types in a placement file")
-    p_count.add_argument("file")
-    p_count.add_argument("--engine", choices=("naive", "regions", "auto"), default="auto")
-    p_count.add_argument("--format", choices=("json", "text"), default="text")
-    p_count.set_defaults(func=cmd_request)
-
-    p_verify = sub.add_parser("verify", help="verify all exact counting identities")
-    p_verify.add_argument("file")
-    p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(func=cmd_request, engine="regions")
-
-    p_bound = sub.add_parser("bound", help="evaluate the pentagon lower-bound chain")
-    p_bound.add_argument("file")
-    p_bound.add_argument("--format", choices=("json", "text"), default="text")
-    p_bound.set_defaults(func=cmd_request, engine="regions")
+    # count alone chooses its engine; verify and bound run the region engine
+    for name, help_text, engine in (
+        ("count", "count subset types in a placement file", "auto"),
+        ("verify", "verify all exact counting identities", "regions"),
+        ("bound", "evaluate the pentagon lower-bound chain", "regions"),
+    ):
+        p_request = sub.add_parser(name, help=help_text)
+        p_request.add_argument("file")
+        if name == "count":
+            p_request.add_argument(
+                "--engine", choices=("naive", "regions", "auto"), default=engine)
+        p_request.add_argument("--format", choices=("json", "text"), default="text")
+        p_request.set_defaults(func=cmd_request, engine=engine)
 
     p_min = sub.add_parser("minimize", help="search for a low-pentagon placement")
     p_min.add_argument("--n", type=_int_in(5), required=True)

@@ -314,8 +314,8 @@ def load_placement(source: Union[IO, str, bytes]) -> Placement:
     Format: ASCII lines ending in LF, CRLF or CR: optional comment lines
     starting with '#', then a line holding n, then exactly n lines "x y"
     (single space, canonical decimal integers).  Raises ParseError on
-    malformed input and ValidationError when the points are not in general
-    position.
+    malformed text; ``Placement.from_points`` then checks the points
+    (InvalidPlacementError, ValidationError).
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -335,8 +335,6 @@ def load_placement(source: Union[IO, str, bytes]) -> Placement:
         raise ParseError("empty placement file")
 
     n = _parse_int(content[0], "header line")
-    if n < 3:
-        raise ParseError(f"placement size {n} is below the minimum of 3")
     body = content[1:]
     if len(body) != n:
         raise ParseError(f"count mismatch: header says {n}, found {len(body)} point lines")
@@ -348,10 +346,6 @@ def load_placement(source: Union[IO, str, bytes]) -> Placement:
             raise ParseError(f"point line {lineno}: expected 'x y', got {line!r}")
         x = _parse_int(parts[0], f"point line {lineno}")
         y = _parse_int(parts[1], f"point line {lineno}")
-        if abs(x) > COORD_BOUND or abs(y) > COORD_BOUND:
-            raise ParseError(
-                f"point line {lineno}: coordinate exceeds bound {COORD_BOUND}"
-            )
         points.append(Point(x, y))
 
     return Placement.from_points(points)

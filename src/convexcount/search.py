@@ -391,23 +391,18 @@ def minimize_pentagons(cfg: AnnealConfig) -> SearchResult:
         )
         chain = _Chain(start, rng, cfg)
         restart_best = chain.current
-        if best_coords is None or chain.current < best:
-            best = chain.current
-            best_coords = chain.coords.copy()
-            trace.append((r, 0, best))
-            done = cfg.target is not None and best <= cfg.target
-        for it in range(cfg.iterations):
-            if done:
-                break
-            chain.step()
-            used += 1
-            if chain.current < restart_best:
-                restart_best = chain.current
-            if chain.current < best:
+        for it in range(cfg.iterations + 1):  # step 0 is the chain's start
+            if it:
+                chain.step()
+                used += 1
+                restart_best = min(restart_best, chain.current)
+            if best_coords is None or chain.current < best:
                 best = chain.current
                 best_coords = chain.coords.copy()
-                trace.append((r, it + 1, best))
+                trace.append((r, it, best))
                 done = cfg.target is not None and best <= cfg.target
+            if done:
+                break
         restart_bests.append(restart_best)
         if done:
             break

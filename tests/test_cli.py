@@ -423,6 +423,12 @@ def test_bound_too_small_exits_2(tmp_path, capsys):
     assert err == "error: the bound chain needs n >= 5, got 4\n"
 
 
+def _header(text: str) -> dict:
+    """The "# key: value" comment lines of a placement file, as a dict."""
+    return dict(line[2:].split(": ", 1) for line in text.splitlines()
+                if line.startswith("# "))
+
+
 def test_minimize_deterministic(tmp_path, capsys):
     argv = ["minimize", "--n", "6", "--iters", "200", "--restarts", "1",
             "--seed", "5", "--bound", "50"]
@@ -430,10 +436,11 @@ def test_minimize_deterministic(tmp_path, capsys):
     for name in ("m1.txt", "m2.txt"):
         path = str(tmp_path / name)
         assert main(argv + ["-o", path]) == 0
+        assert capsys.readouterr().out == ""
         outs.append(Path(path).read_text(encoding="ascii"))
-        summary = capsys.readouterr().out
-        assert "best_pentagons:" in summary
-        assert "consistency: ok" in summary
+        header = _header(outs[-1])
+        assert "best_pentagons" in header
+        assert header["consistency"] == "ok"
     assert outs[0] == outs[1]
     placement = load_placement(outs[0])
     assert placement.n == 6
@@ -449,6 +456,45 @@ def test_minimize_target_stops_early(capsys):
                  "--seed", "1", "--target", "0"]) == 0
     out = capsys.readouterr().out
     assert "best_pentagons: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "random", "--n", "9", "--seed", "2", "--bound", "500"],
+    ["minimize", "--n", "8", "--iters", "200", "--restarts", "1", "--seed", "3"],
+], ids=["gen", "minimize"])
+def test_written_placement_is_one_loadable_file(tmp_path, argv, capsys):
+    # stdout and the -o file carry the same bytes, and count reads them
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    path = tmp_path / "p.txt"
+    assert main(argv + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="ascii") == text
+    placement = load_placement(text)
+    assert main(["count", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == placement.n
+    if argv[0] == "minimize":
+        assert report["counts5"]["pentagon"] == _header(text)["best_pentagons"]
+
+
+def test_text_report_walks_the_json_report(t2_file, capsys):
+    # every stats and bound key is one text line of its section, in JSON order
+    assert main(["bound", t2_file, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["bound", t2_file]) == 0
+    sections = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            sections[section].append(line)
+        else:
+            section = line.split(":", 1)[0]
+            sections[section] = []
+    for name in ("stats", "bound"):
+        assert [line.split(":", 1)[0].strip() for line in sections[name]] == list(report[name])
+        for line, value in zip(sections[name], report[name].values()):
+            text = value["exact"] if isinstance(value, dict) else str(value)
+            assert line.split(": ", 1)[1].startswith(text), line
 
 
 def _report_outputs(path: str) -> dict:

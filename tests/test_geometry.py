@@ -178,6 +178,10 @@ def test_load_placement_comments_and_stream():
     assert load_placement(text.encode("ascii")).points == p.points
 
 
+# well-formed text whose points the Placement constructor rejects
+PLACEMENT_FAULTS = ("2\n0 0\n1 0\n", f"3\n0 0\n{COORD_BOUND + 1} 0\n0 1\n")
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -198,7 +202,7 @@ def test_load_placement_comments_and_stream():
     ],
 )
 def test_load_placement_rejects_malformed(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidPlacementError if bad in PLACEMENT_FAULTS else ParseError):
         load_placement(bad)
 
 
